@@ -1,13 +1,16 @@
 #include "src/analysis/activity.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace bsdtrace {
 
 // -- ActivityWindowSegment ----------------------------------------------------
 
 void ActivityWindowSegment::Touch(SimTime t, UserId user, uint64_t bytes) {
-  Interval& interval = intervals[t.micros() / length.micros()];
+  const int64_t index = t.micros() / length.micros();
+  assert(index > last_closed);
+  Interval& interval = intervals[index];
   interval.active.insert(user);
   if (bytes > 0) {
     interval.bytes[user] += bytes;
@@ -16,6 +19,7 @@ void ActivityWindowSegment::Touch(SimTime t, UserId user, uint64_t bytes) {
 
 void ActivityWindowSegment::Merge(const ActivityWindowSegment& other) {
   for (const auto& [index, theirs] : other.intervals) {
+    assert(index > last_closed);
     Interval& ours = intervals[index];
     ours.active.insert(theirs.active.begin(), theirs.active.end());
     for (const auto& [user, bytes] : theirs.bytes) {
@@ -24,30 +28,49 @@ void ActivityWindowSegment::Merge(const ActivityWindowSegment& other) {
   }
 }
 
+namespace {
+
+// Replays one touched interval into `out`, after the empty intervals between
+// it and the previously replayed one (which count as zero active users, just
+// like the streaming window's gap fill).
+void ReplayInterval(int64_t index, const ActivityWindowSegment::Interval& interval,
+                    Duration length, int64_t* prev, IntervalActivity* out) {
+  for (int64_t i = *prev + 1; i < index; ++i) {
+    out->active_users.Add(0.0);
+    out->intervals += 1;
+  }
+  out->active_users.Add(static_cast<double>(interval.active.size()));
+  out->max_active_users =
+      std::max(out->max_active_users, static_cast<int64_t>(interval.active.size()));
+  for (const auto& [user, bytes] : interval.bytes) {
+    out->throughput_per_user.Add(static_cast<double>(bytes) / length.seconds());
+  }
+  for (UserId user : interval.active) {
+    if (interval.bytes.count(user) == 0) {
+      out->throughput_per_user.Add(0.0);
+    }
+  }
+  out->intervals += 1;
+  *prev = index;
+}
+
+}  // namespace
+
+void ActivityWindowSegment::CloseBefore(SimTime t) {
+  const int64_t open_index = t.micros() / length.micros();
+  auto it = intervals.begin();
+  for (; it != intervals.end() && it->first < open_index; ++it) {
+    ReplayInterval(it->first, it->second, length, &last_closed, &closed);
+  }
+  intervals.erase(intervals.begin(), it);
+}
+
 IntervalActivity ActivityWindowSegment::Finalize() const {
-  IntervalActivity out;
+  IntervalActivity out = closed;
   out.interval_length = length;
-  int64_t prev = -1;
+  int64_t prev = last_closed;
   for (const auto& [index, interval] : intervals) {
-    // Empty intervals between touched ones count as zero active users, just
-    // like the streaming window's gap fill.
-    for (int64_t i = prev + 1; i < index; ++i) {
-      out.active_users.Add(0.0);
-      out.intervals += 1;
-    }
-    out.active_users.Add(static_cast<double>(interval.active.size()));
-    out.max_active_users = std::max(out.max_active_users,
-                                    static_cast<int64_t>(interval.active.size()));
-    for (const auto& [user, bytes] : interval.bytes) {
-      out.throughput_per_user.Add(static_cast<double>(bytes) / length.seconds());
-    }
-    for (UserId user : interval.active) {
-      if (interval.bytes.count(user) == 0) {
-        out.throughput_per_user.Add(0.0);
-      }
-    }
-    out.intervals += 1;
-    prev = index;
+    ReplayInterval(index, interval, length, &prev, &out);
   }
   return out;
 }
@@ -65,6 +88,11 @@ void ActivitySegment::Merge(const ActivitySegment& other) {
   users_seen.insert(other.users_seen.begin(), other.users_seen.end());
   total_bytes += other.total_bytes;
   last_time = std::max(last_time, other.last_time);
+}
+
+void ActivitySegment::CloseSettledIntervals() {
+  ten_minute.CloseBefore(last_time);
+  ten_second.CloseBefore(last_time);
 }
 
 ActivityStats ActivitySegment::Finalize() const {

@@ -50,6 +50,9 @@ struct ActivityStats {
 // Order-free per-interval summary of one window length: which users were
 // active and how many reconstructed bytes each moved.  Ordered maps keep the
 // replay order deterministic without re-sorting.
+//
+// Intervals no later record can touch may be closed: they are replayed into
+// `closed` once and dropped, so Finalize() only replays the open ones.
 struct ActivityWindowSegment {
   struct Interval {
     std::set<UserId> active;
@@ -59,13 +62,20 @@ struct ActivityWindowSegment {
   explicit ActivityWindowSegment(Duration length) : length(length) {}
 
   Duration length;
-  std::map<int64_t, Interval> intervals;  // interval index -> summary
+  std::map<int64_t, Interval> intervals;  // open: interval index -> summary
+  IntervalActivity closed;                // replay of the closed intervals
+  int64_t last_closed = -1;               // index of the last closed interval
 
   void Touch(SimTime t, UserId user, uint64_t bytes);
+  // Absorbs other's intervals, all of which must still be open here.
   void Merge(const ActivityWindowSegment& other);
+  // Closes the intervals that end at or before `t`.  Later Touch/Merge calls
+  // must not reach them.
+  void CloseBefore(SimTime t);
   // Replays the intervals in ascending index order — gaps count as intervals
   // with zero active users, matching the streaming window — into Welford
-  // accumulators, per-interval users in ascending id order.
+  // accumulators, per-interval users in ascending id order.  Continues from
+  // the closed intervals' replay, so closing changes no result.
   IntervalActivity Finalize() const;
 };
 
@@ -84,6 +94,9 @@ struct ActivitySegment {
   // Absorbs other's interval summaries, users, bytes, and last-event time.
   // open_user is boundary state and is deliberately left alone.
   void Merge(const ActivitySegment& other);
+  // Closes the intervals that end at or before last_time: records arrive in
+  // time order, so no later segment can touch them.
+  void CloseSettledIntervals();
   ActivityStats Finalize() const;
 };
 

@@ -109,7 +109,7 @@ StatusOr<TraceAnalysis> SegmentedAnalyze(const SeekableTraceSource& seekable,
 namespace {
 
 bool CdfIdentical(const WeightedCdf& a, const WeightedCdf& b) {
-  return a.sorted_samples() == b.sorted_samples();
+  return a.runs() == b.runs();
 }
 
 bool StatsIdentical(const RunningStats& a, const RunningStats& b) {

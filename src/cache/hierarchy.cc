@@ -17,8 +17,9 @@ std::string HierarchyConfig::ToString() const {
 HierarchySimulator::HierarchySimulator(const HierarchyConfig& config, size_t client_count)
     : config_(config), server_(config.server) {
   assert(!config.client.simulate_metadata && !config.server.simulate_metadata);
-  assert(config.client.block_size == config.server.block_size);
-  assert(config.client.simulate_execve_pagein == config.server.simulate_execve_pagein);
+  assert(!config.has_clients() || (config.client.block_size == config.server.block_size &&
+                                    config.client.simulate_execve_pagein ==
+                                        config.server.simulate_execve_pagein));
   if (config.has_clients()) {
     const size_t n = std::max<size_t>(1, client_count);
     for (size_t i = 0; i < n; ++i) {

@@ -49,8 +49,10 @@ namespace bsdtrace {
 
 struct HierarchyConfig {
   // client.size_bytes == 0 → no client layer (pure single-level server).
-  // client.block_size must equal server.block_size; simulate_metadata must
-  // be false on both; the page-in flags must agree (one trace-side decision).
+  // simulate_metadata must be false on both.  With a client layer,
+  // client.block_size must equal server.block_size and the page-in flags
+  // must agree (one trace-side decision); without one, the client's block
+  // size and page-in flag are unused and need not match the server's.
   CacheConfig client;
   CacheConfig server;
 

@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "src/analysis/analyzer.h"
@@ -22,6 +24,11 @@ namespace bsdtrace {
 namespace {
 
 namespace fs = std::filesystem;
+
+// Scratch names carry the pid: ctest may run these cases concurrently.
+std::string TempName(const std::string& name) {
+  return std::to_string(getpid()) + "-" + name;
+}
 
 // Parses a CSV written by CsvWriter.  The export cells never contain
 // commas/quotes, so a plain split is exact.
@@ -60,7 +67,7 @@ class CsvExportTest : public ::testing::Test {
 const TraceAnalysis* CsvExportTest::analysis_ = nullptr;
 
 TEST_F(CsvExportTest, FigureCsvsRoundTrip) {
-  const fs::path dir = fs::temp_directory_path() / "bsdtrace-csv-test";
+  const fs::path dir = fs::temp_directory_path() / TempName("bsdtrace-csv-test");
   fs::remove_all(dir);
   ASSERT_TRUE(fs::create_directories(dir));
   const std::vector<NamedAnalysis> traces = {{"A5", analysis_}};
@@ -110,7 +117,7 @@ TEST_F(CsvExportTest, FigureCsvsRoundTrip) {
 }
 
 TEST_F(CsvExportTest, MissingDirectoryIsCleanError) {
-  const fs::path dir = fs::temp_directory_path() / "bsdtrace-csv-test-missing" / "nested";
+  const fs::path dir = fs::temp_directory_path() / TempName("bsdtrace-csv-test-missing") / "nested";
   fs::remove_all(dir.parent_path());
   const std::vector<NamedAnalysis> traces = {{"A5", analysis_}};
   const Status st = ExportFigureCsvs(dir.string(), traces);
@@ -135,7 +142,7 @@ TEST(SweepCsvExport, RoundTripsPoints) {
   points[1].metrics.disk_writes = 300;
 
   const std::string path =
-      (fs::temp_directory_path() / "bsdtrace-csv-test-sweep.csv").string();
+      (fs::temp_directory_path() / TempName("bsdtrace-csv-test-sweep.csv")).string();
   const Status st = ExportSweepCsv(path, points);
   ASSERT_TRUE(st.ok()) << st.message();
 
@@ -155,7 +162,7 @@ TEST(SweepCsvExport, RoundTripsPoints) {
 
 TEST(SweepCsvExport, MissingDirectoryIsCleanError) {
   const std::string path =
-      (fs::temp_directory_path() / "bsdtrace-csv-test-no-dir" / "fig5.csv").string();
+      (fs::temp_directory_path() / TempName("bsdtrace-csv-test-no-dir") / "fig5.csv").string();
   const Status st = ExportSweepCsv(path, {});
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("cannot open"), std::string::npos) << st.message();

@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "src/trace/trace_io.h"
@@ -35,8 +37,10 @@ int RunCaptured(const std::vector<std::string>& args, std::string* err) {
   return rc;
 }
 
+// ctest runs every case as its own process, possibly concurrently, and some
+// cases share file names: the pid keeps their scratch files apart.
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return ::testing::TempDir() + "/" + std::to_string(getpid()) + "_" + name;
 }
 
 bool FileExists(const std::string& path) {
