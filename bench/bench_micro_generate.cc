@@ -1,10 +1,10 @@
 // Microbench for the sharded generation engine: times serial GenerateTrace,
 // in-memory GenerateTraceSharded, and the spill-to-disk streaming
 // GenerateTraceShardedToFile for the same profile/seed/duration, verifies
-// the shards=1 path is byte-identical to the serial one and the streamed
-// file is byte-identical to saving the in-memory result, measures the peak
-// RSS of the streaming vs. in-memory paths, and emits one machine-readable
-// JSON line plus a BENCH_micro_generate.json file.
+// the shards=1 path equals the serial one in every record field and the
+// streamed file is byte-identical to saving the in-memory result, measures
+// the peak RSS of the streaming vs. in-memory paths, and emits one
+// machine-readable JSON line plus a BENCH_micro_generate.json file.
 //
 // Defaults: the paper's Ucbarpa-class profile (A5) over 6 simulated hours,
 // 8 shards, one worker thread per hardware thread.  Override with
@@ -44,12 +44,6 @@ namespace {
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-std::string Serialize(const Trace& trace) {
-  std::ostringstream out;
-  WriteBinaryTrace(out, trace);
-  return std::move(out).str();
 }
 
 std::string ReadFileBytes(const std::string& path) {
@@ -183,15 +177,14 @@ int main() {
     serial_records = serial.trace.size();
   }
 
-  // Parity gates: shards = 1 must reproduce the serial trace byte for byte,
-  // and the streamed v3 file must be byte-identical to saving the in-memory
-  // sharded trace with the same v3 options (count-stamped header, checksummed
-  // blocks, footer index).
+  // Parity gates: shards = 1 must reproduce the serial trace (header and
+  // every record field), and the streamed v3 file must be byte-identical to
+  // saving the in-memory sharded trace with the same v3 options (count-stamped
+  // header, checksummed blocks, footer index).
   ShardedGeneratorOptions one_shard = sharded_options;
   one_shard.shard_count = 1;
   const bool shard1_identical =
-      Serialize(GenerateTraceSharded(profile, one_shard).trace) ==
-      Serialize(GenerateTrace(profile, options).trace);
+      GenerateTraceSharded(profile, one_shard).trace == GenerateTrace(profile, options).trace;
   const bool stream_identical =
       stream_ok && !sharded_bytes.empty() && ReadFileBytes(stream_path) == sharded_bytes;
   std::remove(stream_path.c_str());

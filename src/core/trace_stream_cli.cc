@@ -19,8 +19,10 @@
 #include "src/analysis/analyzer.h"
 #include "src/analysis/parallel_analyzer.h"
 #include "src/analysis/per_user_activity.h"
+#include "src/analysis/popularity.h"
 #include "src/analysis/rolling_analyzer.h"
 #include "src/core/experiments.h"
+#include "src/trace/filter.h"
 #include "src/trace/import/strace_import.h"
 #include "src/trace/import/text_import.h"
 #include "src/trace/trace_io.h"
@@ -28,6 +30,7 @@
 #include "src/trace/trace_source.h"
 #include "src/trace/validate.h"
 #include "src/util/parse.h"
+#include "src/util/stats.h"
 #include "src/workload/fleet.h"
 #include "src/workload/profile.h"
 #include "src/workload/sharded_generator.h"
@@ -231,6 +234,12 @@ const std::vector<SubcommandSpec>& Subcommands() {
        {"format", "compress", "no-validate"}},
       {"export", "<in.trc>", "render a binary trace as bsdtxt text", {"out"}},
       {"info", "<in.trc>", "print header, format, and integrity information", {}},
+      {"validate", "<in.trc>", "check the structural invariants (exit 1 if invalid)", {}},
+      {"slice", "<in.trc> <out.trc> <from_s> <to_s>",
+       "write the accesses within [from_s, to_s) seconds, rebased to 0, as v4",
+       {"compress"}},
+      {"users", "<in.trc>", "count events per user", {}},
+      {"top", "<in.trc> [n=10]", "file popularity: top-n access share and coverage", {}},
   };
   return *subs;
 }
@@ -396,6 +405,27 @@ void SplitArgs(int argc, const char* const* argv, std::vector<std::string>* posi
   }
 }
 
+// The argument handling every subcommand but generate shares: --help, the
+// positional count, then the flag surface.  Returns false with *exit_code
+// set when the command is already finished (help printed or a usage error).
+// generate parses its legacy positionals before its flags, so flags win.
+bool ParseSubcommandArgs(const SubcommandSpec& sub, int argc, const char* const* argv,
+                         size_t min_positionals, size_t max_positionals, CliOptions* opt,
+                         std::vector<std::string>* positional, int* exit_code) {
+  std::vector<const char*> flags;
+  SplitArgs(argc, argv, positional, &flags);
+  if (WantsHelp(flags)) {
+    *exit_code = HelpFor(sub);
+    return false;
+  }
+  if (positional->size() < min_positionals || positional->size() > max_positionals) {
+    *exit_code = UsageFor(sub);
+    return false;
+  }
+  *exit_code = ParseFlags(sub, flags, opt);
+  return *exit_code == 0;
+}
+
 // -- generate -----------------------------------------------------------------
 
 int CmdGenerate(int argc, const char* const* argv) {
@@ -488,21 +518,13 @@ int ReportBands(const std::vector<ActivityBandCheck>& checks) {
 }
 
 int CmdAnalyze(int argc, const char* const* argv) {
-  const SubcommandSpec& sub = *FindSubcommand("analyze");
   CliOptions opt;
   std::vector<std::string> positional;
-  std::vector<const char*> flags;
-  SplitArgs(argc, argv, &positional, &flags);
-  if (WantsHelp(flags)) {
-    return HelpFor(sub);
-  }
-  if (positional.size() != 1) {
-    return UsageFor(sub);
-  }
-  const std::string path = positional[0];
-  if (const int rc = ParseFlags(sub, flags, &opt); rc != 0) {
+  if (int rc = 0; !ParseSubcommandArgs(*FindSubcommand("analyze"), argc, argv, 1, 1, &opt,
+                                       &positional, &rc)) {
     return rc;
   }
+  const std::string path = positional[0];
   if (!opt.sweep.empty()) {
     // The cache sweep replays reconstructed transfers, so it needs the
     // records in memory (the §5 tables stream instead).
@@ -601,18 +623,10 @@ class FanoutRingSink : public TraceSink {
 };
 
 int CmdServe(int argc, const char* const* argv) {
-  const SubcommandSpec& sub = *FindSubcommand("serve");
   CliOptions opt;
   std::vector<std::string> positional;
-  std::vector<const char*> flags;
-  SplitArgs(argc, argv, &positional, &flags);
-  if (WantsHelp(flags)) {
-    return HelpFor(sub);
-  }
-  if (!positional.empty()) {
-    return UsageFor(sub);
-  }
-  if (const int rc = ParseFlags(sub, flags, &opt); rc != 0) {
+  if (int rc = 0; !ParseSubcommandArgs(*FindSubcommand("serve"), argc, argv, 0, 0, &opt,
+                                       &positional, &rc)) {
     return rc;
   }
 
@@ -764,19 +778,11 @@ int CmdServe(int argc, const char* const* argv) {
 // materialized (both importers produce line numbers alongside), validated
 // against the structural invariants by default, and written compressed.
 int CmdImport(int argc, const char* const* argv) {
-  const SubcommandSpec& sub = *FindSubcommand("import");
   CliOptions opt;
   opt.compress = "lz";  // imports default to compressed v4 blocks
   std::vector<std::string> positional;
-  std::vector<const char*> flags;
-  SplitArgs(argc, argv, &positional, &flags);
-  if (WantsHelp(flags)) {
-    return HelpFor(sub);
-  }
-  if (positional.size() != 2) {
-    return UsageFor(sub);
-  }
-  if (const int rc = ParseFlags(sub, flags, &opt); rc != 0) {
+  if (int rc = 0; !ParseSubcommandArgs(*FindSubcommand("import"), argc, argv, 2, 2, &opt,
+                                       &positional, &rc)) {
     return rc;
   }
   const std::string& in_path = positional[0];
@@ -853,18 +859,10 @@ int CmdImport(int argc, const char* const* argv) {
 // Streams a binary trace out as bsdtxt text — the exact ToString rendering
 // ParseTraceRecord accepts, so export | import is the identity.
 int CmdExport(int argc, const char* const* argv) {
-  const SubcommandSpec& sub = *FindSubcommand("export");
   CliOptions opt;
   std::vector<std::string> positional;
-  std::vector<const char*> flags;
-  SplitArgs(argc, argv, &positional, &flags);
-  if (WantsHelp(flags)) {
-    return HelpFor(sub);
-  }
-  if (positional.size() != 1) {
-    return UsageFor(sub);
-  }
-  if (const int rc = ParseFlags(sub, flags, &opt); rc != 0) {
+  if (int rc = 0; !ParseSubcommandArgs(*FindSubcommand("export"), argc, argv, 1, 1, &opt,
+                                       &positional, &rc)) {
     return rc;
   }
   TraceFileSource source(positional[0]);
@@ -888,6 +886,124 @@ int CmdExport(int argc, const char* const* argv) {
     std::fprintf(stderr, "export failed: %s\n", s.message().c_str());
     return 1;
   }
+  return 0;
+}
+
+// -- validate / slice / users / top -------------------------------------------
+
+// LoadTrace (v1 through v4) with the CLI's error report.
+bool LoadInput(const std::string& path, Trace* trace) {
+  StatusOr<Trace> loaded = LoadTrace(path);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "cannot read %s: %s\n", path.c_str(),
+                 loaded.status().message().c_str());
+    return false;
+  }
+  *trace = std::move(loaded).value();
+  return true;
+}
+
+int CmdValidate(int argc, const char* const* argv) {
+  CliOptions opt;
+  std::vector<std::string> positional;
+  Trace trace;
+  if (int rc = 0; !ParseSubcommandArgs(*FindSubcommand("validate"), argc, argv, 1, 1, &opt,
+                                       &positional, &rc)) {
+    return rc;
+  }
+  if (!LoadInput(positional[0], &trace)) {
+    return 1;
+  }
+  const ValidationResult v = ValidateTrace(trace);
+  std::printf("%llu records\n%s", static_cast<unsigned long long>(v.records),
+              v.Summary().c_str());
+  std::printf(v.ok() ? "trace is structurally valid\n" : "trace is INVALID\n");
+  return v.ok() ? 0 : 1;
+}
+
+// Writes the accesses wholly inside [from_s, to_s), rebased to start at 0,
+// as a v4 trace compressed per --compress (lz by default, as for import).
+int CmdSlice(int argc, const char* const* argv) {
+  const SubcommandSpec& sub = *FindSubcommand("slice");
+  CliOptions opt;
+  opt.compress = "lz";
+  std::vector<std::string> positional;
+  if (int rc = 0; !ParseSubcommandArgs(sub, argc, argv, 4, 4, &opt, &positional, &rc)) {
+    return rc;
+  }
+  int64_t from_us = 0;
+  int64_t to_us = 0;
+  if (!ParseSecondsToMicros(positional[2], &from_us)) {
+    return BadArg("from_s", positional[2]);
+  }
+  if (!ParseSecondsToMicros(positional[3], &to_us)) {
+    return BadArg("to_s", positional[3]);
+  }
+  if (to_us < from_us) {
+    std::fprintf(stderr, "trace_stream slice: to_s %s is before from_s %s\n",
+                 positional[3].c_str(), positional[2].c_str());
+    return UsageFor(sub);
+  }
+  Trace trace;
+  if (!LoadInput(positional[0], &trace)) {
+    return 1;
+  }
+  const Trace slice =
+      SliceByTime(trace, SimTime::FromMicros(from_us), SimTime::FromMicros(to_us));
+  TraceWriterOptions options;
+  options.version = 4;
+  options.codec = opt.compress == "lz" ? TraceCodec::kLz : TraceCodec::kNone;
+  if (const Status s = SaveTrace(positional[1], slice, options); !s.ok()) {
+    std::fprintf(stderr, "cannot write %s: %s\n", positional[1].c_str(), s.message().c_str());
+    return 1;
+  }
+  std::printf("wrote %zu of %zu records\n", slice.size(), trace.size());
+  return 0;
+}
+
+int CmdUsers(int argc, const char* const* argv) {
+  CliOptions opt;
+  std::vector<std::string> positional;
+  Trace trace;
+  if (int rc = 0; !ParseSubcommandArgs(*FindSubcommand("users"), argc, argv, 1, 1, &opt,
+                                       &positional, &rc)) {
+    return rc;
+  }
+  if (!LoadInput(positional[0], &trace)) {
+    return 1;
+  }
+  std::printf("user\tevents\n");
+  for (const auto& [user, events] : CountEventsByUser(trace)) {
+    std::printf("%u\t%llu\n", user, static_cast<unsigned long long>(events));
+  }
+  return 0;
+}
+
+int CmdTop(int argc, const char* const* argv) {
+  CliOptions opt;
+  std::vector<std::string> positional;
+  if (int rc = 0; !ParseSubcommandArgs(*FindSubcommand("top"), argc, argv, 1, 2, &opt,
+                                       &positional, &rc)) {
+    return rc;
+  }
+  uint64_t n = 10;
+  if (positional.size() > 1 && !ParseU64Arg(positional[1], &n)) {
+    return BadArg("n", positional[1]);
+  }
+  Trace trace;
+  if (!LoadInput(positional[0], &trace)) {
+    return 1;
+  }
+  const PopularityStats stats = AnalyzePopularity(trace);
+  std::printf("%llu distinct files, %llu accesses\n",
+              static_cast<unsigned long long>(stats.distinct_files),
+              static_cast<unsigned long long>(stats.total_accesses));
+  std::printf("top %llu files' access share: %s\n", static_cast<unsigned long long>(n),
+              FormatPercent(stats.TopAccessShare(n), 0).c_str());
+  std::printf("files covering 50%% of accesses: %llu\n",
+              static_cast<unsigned long long>(stats.FilesForAccessFraction(0.5)));
+  std::printf("files covering 90%% of accesses: %llu\n",
+              static_cast<unsigned long long>(stats.FilesForAccessFraction(0.9)));
   return 0;
 }
 
@@ -977,6 +1093,18 @@ int TraceStreamMain(int argc, const char* const* argv) {
   }
   if (std::strcmp(cmd, "export") == 0) {
     return CmdExport(argc - 2, argv + 2);
+  }
+  if (std::strcmp(cmd, "validate") == 0) {
+    return CmdValidate(argc - 2, argv + 2);
+  }
+  if (std::strcmp(cmd, "slice") == 0) {
+    return CmdSlice(argc - 2, argv + 2);
+  }
+  if (std::strcmp(cmd, "users") == 0) {
+    return CmdUsers(argc - 2, argv + 2);
+  }
+  if (std::strcmp(cmd, "top") == 0) {
+    return CmdTop(argc - 2, argv + 2);
   }
   if (std::strcmp(cmd, "info") == 0) {
     if (std::strcmp(argv[2], "--help") == 0 || std::strcmp(argv[2], "-h") == 0) {

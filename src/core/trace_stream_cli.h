@@ -11,12 +11,19 @@
 //                         [--compress=none|lz] [--no-validate]
 //   trace_stream export   <in.trc> [--out=PATH]
 //   trace_stream info     <in.trc>
+//   trace_stream validate <in.trc>
+//   trace_stream slice    <in.trc> <out.trc> <from_s> <to_s> [--compress=none|lz]
+//   trace_stream users    <in.trc>
+//   trace_stream top      <in.trc> [n]
 //
 // `import` converts a foreign text log — this tool's own bsdtxt export or a
 // raw `strace -f -ttt` syscall log — into a binary v4 trace, running the
 // structural validator by default so a corrupt log fails with per-line
 // diagnostics instead of skewing every downstream analysis.  `export`
 // renders a binary trace as bsdtxt; export | import is the identity.
+// `validate`, `slice`, `users` and `top` load the whole trace (any format
+// version, v1 through v4): the structural validator, a time-window cut
+// written as v4, per-user event counts, and file popularity.
 //
 // `generate` accepts a machine profile name (A5/E3/C4) or a fleet spec
 // ("fleet:4xA5+2xE3+2xC4"; workload/fleet.h) and always generates through

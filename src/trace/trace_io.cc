@@ -4,10 +4,7 @@
 #include <cassert>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "src/trace/crc32c.h"
 #include "src/trace/io_buffer.h"
@@ -28,19 +25,11 @@ constexpr int64_t kMicrosPerHour = int64_t{3'600} * 1'000'000;
 // a real block (writers target ~256 KB).
 constexpr uint64_t kMaxBlockPayload = uint64_t{1} << 30;
 
-// The codec is templated over byte sinks/sources so the legacy iostream path
-// and the block-buffered path share one encoding (and stay byte-identical).
+// The codec is templated over byte sinks/sources so the buffered file path,
+// its raw-memory fast paths and the v4 stream buffers share one encoding.
 //
 // Sink concept:   void put(uint8_t);  void write(const void*, size_t);
 // Source concept: int get();          bool read(void*, size_t);
-
-struct OstreamSink {
-  std::ostream& out;
-  void put(uint8_t b) { out.put(static_cast<char>(b)); }
-  void write(const void* p, size_t n) {
-    out.write(static_cast<const char*>(p), static_cast<std::streamsize>(n));
-  }
-};
 
 struct BufferedSink {
   BufferedWriter& out;
@@ -56,15 +45,6 @@ struct PtrSink {
   void write(const void* src, size_t n) {
     std::memcpy(p, src, n);
     p += n;
-  }
-};
-
-struct IstreamSource {
-  std::istream& in;
-  int get() { return in.get(); }
-  bool read(void* p, size_t n) {
-    in.read(static_cast<char*>(p), static_cast<std::streamsize>(n));
-    return static_cast<size_t>(in.gcount()) == n;
   }
 };
 
@@ -325,7 +305,7 @@ uint32_t ReadFixed32(const uint8_t* p) {
 
 template <typename Sink>
 void EncodeHeader(Sink& out, const TraceHeader& header, int64_t expected_records,
-                  int version = 2) {
+                  int version) {
   out.write(version == 4 ? kMagicV4 : (version == 3 ? kMagicV3 : kMagicV2), sizeof(kMagicV2));
   PutString(out, header.machine);
   PutString(out, header.description);
@@ -368,75 +348,7 @@ bool DecodeHeader(Source& in, TraceHeader* header, int64_t* declared, int* versi
 
 }  // namespace
 
-// -- Legacy iostream path -----------------------------------------------------
-
-BinaryTraceWriter::BinaryTraceWriter(std::ostream& out, const TraceHeader& header,
-                                     int64_t expected_records)
-    : out_(out) {
-  OstreamSink sink{out_};
-  EncodeHeader(sink, header, expected_records);
-}
-
-BinaryTraceWriter::~BinaryTraceWriter() { Finish(); }
-
-void BinaryTraceWriter::Append(const TraceRecord& r) {
-  assert(!finished_);
-  OstreamSink sink{out_};
-  EncodeRecord(sink, r, &prev_time_us_);
-  ++records_written_;
-}
-
-void BinaryTraceWriter::Finish() {
-  if (finished_) {
-    return;
-  }
-  out_.put(static_cast<char>(kEndSentinel));
-  out_.flush();
-  finished_ = true;
-}
-
-BinaryTraceReader::BinaryTraceReader(std::istream& in) : in_(in) {
-  IstreamSource source{in_};
-  const char* error = nullptr;
-  int version = 2;
-  if (!DecodeHeader(source, &header_, &declared_record_count_, &version, &error)) {
-    status_ = Status::Error(error);
-    done_ = true;
-    return;
-  }
-  if (version >= 3) {
-    // The iostream reader has no block/checksum support; v3/v4 files go
-    // through TraceFileReader (LoadTrace and TraceFileSource both do).
-    status_ = Status::Error("v3/v4 trace: use the file reader (checksummed blocks)");
-    done_ = true;
-  }
-}
-
-bool BinaryTraceReader::Next(TraceRecord* record) {
-  if (done_) {
-    return false;
-  }
-  IstreamSource source{in_};
-  const char* error = nullptr;
-  switch (DecodeRecord(source, record, &prev_time_us_, &error)) {
-    case DecodeResult::kRecord:
-      return true;
-    case DecodeResult::kEnd:
-      done_ = true;
-      return false;
-    case DecodeResult::kError:
-      status_ = Status::Error(error);
-      done_ = true;
-      return false;
-  }
-  return false;
-}
-
 // -- Block-buffered file path -------------------------------------------------
-
-TraceFileWriter::TraceFileWriter(const std::string& path, const TraceHeader& header,
-                                 int64_t expected_records)
-    : TraceFileWriter(path, header, expected_records, TraceWriterOptions{}) {}
 
 TraceFileWriter::TraceFileWriter(const std::string& path, const TraceHeader& header,
                                  int64_t expected_records, const TraceWriterOptions& options)
@@ -1361,89 +1273,6 @@ Status WriteTextTrace(std::ostream& out, TraceSource& source) {
   return Status::Ok();
 }
 
-Status WriteTextTrace(std::ostream& out, const Trace& trace) {
-  TraceVectorSource source(trace);
-  return WriteTextTrace(out, source);
-}
-
-StatusOr<Trace> ReadTextTrace(std::istream& in) {
-  Trace trace;
-  std::string line;
-  size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') {
-      line.pop_back();  // tolerate CRLF logs
-    }
-    if (line.empty()) {
-      continue;
-    }
-    if (line[0] == '#') {
-      std::istringstream hdr(line.substr(1));
-      std::string key;
-      hdr >> key;
-      if (key == "machine") {
-        hdr >> trace.header().machine;
-      } else if (key == "description") {
-        std::string rest;
-        std::getline(hdr, rest);
-        if (!rest.empty() && rest[0] == ' ') {
-          rest.erase(0, 1);
-        }
-        trace.header().description = rest;
-      }
-      continue;
-    }
-    // Record lines go through the strict bsdtxt grammar (record.h); the old
-    // in-file parser accepted signs, wrapping values, and trailing garbage.
-    StatusOr<TraceRecord> record = ParseTraceRecord(line);
-    if (!record.ok()) {
-      return Status::Error("line " + std::to_string(line_no) + ": " +
-                           record.status().message());
-    }
-    trace.Append(record.value());
-  }
-  return trace;
-}
-
-Status WriteBinaryTrace(std::ostream& out, const Trace& trace) {
-  BinaryTraceWriter writer(out, trace.header(), static_cast<int64_t>(trace.size()));
-  for (const TraceRecord& r : trace.records()) {
-    writer.Append(r);
-  }
-  writer.Finish();
-  if (!out.good()) {
-    return Status::Error("binary trace write failed (stream error)");
-  }
-  return Status::Ok();
-}
-
-StatusOr<Trace> ReadBinaryTrace(std::istream& in) {
-  BinaryTraceReader reader(in);
-  if (!reader.status().ok()) {
-    return reader.status();
-  }
-  Trace trace(reader.header());
-  if (reader.declared_record_count() > 0) {
-    // One up-front allocation instead of log2(N) doublings on large traces.
-    // The count comes from an untrusted header and an istream's length is
-    // unknowable up front, so cap the act-of-faith allocation; a header
-    // declaring more is either corrupt or a trace large enough that vector
-    // doubling beyond the cap is noise.
-    constexpr int64_t kIstreamReserveCap = int64_t{1} << 20;
-    trace.Reserve(static_cast<size_t>(
-        std::min(reader.declared_record_count(), kIstreamReserveCap)));
-  }
-  TraceRecord r;
-  while (reader.Next(&r)) {
-    trace.Append(r);
-  }
-  if (!reader.status().ok()) {
-    return reader.status();
-  }
-  return trace;
-}
-
 Status SaveTrace(const std::string& path, TraceSource& source,
                  const TraceWriterOptions& options) {
   TraceFileWriter writer(path, source.header(), source.size_hint(), options);
@@ -1459,15 +1288,6 @@ Status SaveTrace(const std::string& path, TraceSource& source,
     return source.status();
   }
   return writer.Finish();
-}
-
-Status SaveTrace(const std::string& path, TraceSource& source) {
-  return SaveTrace(path, source, TraceWriterOptions{});
-}
-
-Status SaveTrace(const std::string& path, const Trace& trace) {
-  TraceVectorSource source(trace);
-  return SaveTrace(path, source);
 }
 
 Status SaveTrace(const std::string& path, const Trace& trace,

@@ -1,5 +1,7 @@
-// Trace serialization: a compact binary format and a line-oriented text
-// format, plus whole-file convenience helpers.
+// Trace serialization: one compact binary codec, read and written through
+// files only (TraceFileWriter / TraceFileReader and the whole-file
+// SaveTrace / LoadTrace helpers), plus the bsdtxt text export.  bsdtxt is
+// read back by TextTraceSource (import/text_import.h).
 //
 // Binary format (version 2):
 //   magic   "BSDTRC2\n" (8 bytes)
@@ -110,10 +112,10 @@ inline constexpr size_t kMaxRecordEncoding = 64;
 inline constexpr char kTraceIndexTailMagic[8] = {'B', 'S', 'D', 'I', 'D', 'X', '3', '\n'};
 inline constexpr size_t kTraceIndexTailSize = 16;
 
-// How TraceFileWriter frames the record stream.  The default (version 2)
-// byte-matches the legacy flat stream; version 3 adds checksummed blocks and
-// the footer index described in the file comment; version 4 adds the
-// columnar delta pre-pass and per-block compression.
+// How TraceFileWriter frames the record stream.  Version 2 (the default) is
+// the flat record stream; version 3 adds checksummed blocks and the footer
+// index described in the file comment; version 4 adds the columnar delta
+// pre-pass and per-block compression.
 struct TraceWriterOptions {
   int version = 2;
   // v3/v4: close the current block once its payload reaches this size.
@@ -135,71 +137,17 @@ struct TraceBlockIndexEntry {
   SimTime start_time;         // time of the block's first record
 };
 
-// Streaming binary writer.  Writes the header on construction; call Finish()
-// (or let the destructor do it) to emit the end-of-stream sentinel.
-// `expected_records` is written into the header when non-negative so readers
-// can pre-size their buffers; pass -1 (the default) when streaming a record
-// count that is not known up front.
-class BinaryTraceWriter : public TraceSink {
- public:
-  BinaryTraceWriter(std::ostream& out, const TraceHeader& header,
-                    int64_t expected_records = -1);
-  ~BinaryTraceWriter() override;
-
-  BinaryTraceWriter(const BinaryTraceWriter&) = delete;
-  BinaryTraceWriter& operator=(const BinaryTraceWriter&) = delete;
-
-  void Append(const TraceRecord& record) override;
-  void Finish();
-
-  uint64_t records_written() const { return records_written_; }
-
- private:
-  std::ostream& out_;
-  int64_t prev_time_us_ = 0;
-  uint64_t records_written_ = 0;
-  bool finished_ = false;
-};
-
-// Streaming binary reader.
-class BinaryTraceReader {
- public:
-  // Parses the header; check status() before reading records.
-  explicit BinaryTraceReader(std::istream& in);
-
-  Status status() const { return status_; }
-  const TraceHeader& header() const { return header_; }
-
-  // Record count declared in the header, or -1 if the stream did not carry
-  // one (v1 files, or a writer that streamed an unknown count).  Advisory:
-  // reading always continues to the end sentinel regardless.
-  int64_t declared_record_count() const { return declared_record_count_; }
-
-  // Reads the next record into *record.  Returns false at end of stream or on
-  // error (distinguish via status()).
-  bool Next(TraceRecord* record);
-
- private:
-  std::istream& in_;
-  TraceHeader header_;
-  Status status_ = Status::Ok();
-  int64_t prev_time_us_ = 0;
-  int64_t declared_record_count_ = -1;
-  bool done_ = false;
-};
-
-// Block-buffered binary writer to a file path.  Same format (and bytes) as
-// BinaryTraceWriter over an std::ofstream, several times faster: records are
-// encoded straight into 64 KB blocks instead of per-byte ostream virtual
-// calls.  Call Finish() for the end sentinel and the final write status; the
-// destructor finishes but swallows the status.
+// Block-buffered binary writer to a file path: records are encoded straight
+// into 64 KB blocks.  Writes the header on construction.  `expected_records`
+// is written into the header when non-negative so readers can pre-size their
+// buffers; pass -1 (the default) when streaming a record count that is not
+// known up front.  TraceWriterOptions{} writes v2.  Call Finish() for the
+// end sentinel and the final write status; the destructor finishes but
+// swallows the status.
 class TraceFileWriter : public TraceSink {
  public:
   TraceFileWriter(const std::string& path, const TraceHeader& header,
-                  int64_t expected_records = -1);
-  // Format-version-aware constructor; TraceWriterOptions{} writes v2.
-  TraceFileWriter(const std::string& path, const TraceHeader& header,
-                  int64_t expected_records, const TraceWriterOptions& options);
+                  int64_t expected_records = -1, const TraceWriterOptions& options = {});
   ~TraceFileWriter() override;
 
   TraceFileWriter(const TraceFileWriter&) = delete;
@@ -298,8 +246,9 @@ class TraceFileReader {
   // Format version parsed from the magic (1 through 4).
   int version() const { return version_; }
 
-  // Record count declared in the header, or -1 if absent (see
-  // BinaryTraceReader::declared_record_count).
+  // Record count declared in the header, or -1 if the file did not carry
+  // one (v1 files, or a writer that streamed an unknown count).  Advisory:
+  // reading always continues to the end sentinel regardless.
   int64_t declared_record_count() const { return declared_record_count_; }
 
   // Blocks whose checksums have been verified so far (v3/v4 only).
@@ -358,33 +307,22 @@ class TraceFileReader {
   uint64_t payload_raw_bytes_ = 0;
 };
 
-// Text format: "# machine <name>" / "# description <text>" comment header,
-// then one TraceRecord::ToString() line per record.  The source overload is
-// the implementation; the Trace overload wraps it.  Stream write failures
-// and source errors surface as a non-ok Status.
+// bsdtxt export: "# machine <name>" / "# description <text>" comment
+// header, then one TraceRecord::ToString() line per record.  Stream write
+// failures and source errors surface as a non-ok Status.
 Status WriteTextTrace(std::ostream& out, TraceSource& source);
-Status WriteTextTrace(std::ostream& out, const Trace& trace);
-StatusOr<Trace> ReadTextTrace(std::istream& in);
 
-// Whole-trace binary helpers over iostreams (the legacy per-byte path; the
-// file-path helpers below are several times faster).
-Status WriteBinaryTrace(std::ostream& out, const Trace& trace);
-StatusOr<Trace> ReadBinaryTrace(std::istream& in);
-
-// File-path helpers (binary format).  Routed through the block-buffered
-// TraceFileWriter/TraceFileReader path.  The TraceSource overload streams —
-// one record in flight, any trace length in bounded memory — and stamps the
-// source's size hint into the header; it is byte-identical to saving the
-// collected Trace when the hint is exact (sources over files and vectors).
-Status SaveTrace(const std::string& path, TraceSource& source);
-Status SaveTrace(const std::string& path, const Trace& trace);
-// Format-version-aware variants (v3 with a block index, custom block sizes).
-// The default SaveTrace stays v2 so existing byte-identity contracts against
-// the iostream writer hold.
+// Whole-file helpers over TraceFileWriter / TraceFileReader.  The
+// TraceSource overload streams — one record in flight, any trace length in
+// bounded memory — and stamps the source's size hint into the header; it is
+// byte-identical to saving the collected Trace when the hint is exact
+// (sources over files and vectors).  The default options write v2 because
+// the sharded generator's spill files are v2; pass {.version = 3} or
+// {.version = 4} for checksummed, indexed blocks.
 Status SaveTrace(const std::string& path, TraceSource& source,
-                 const TraceWriterOptions& options);
+                 const TraceWriterOptions& options = {});
 Status SaveTrace(const std::string& path, const Trace& trace,
-                 const TraceWriterOptions& options);
+                 const TraceWriterOptions& options = {});
 StatusOr<Trace> LoadTrace(const std::string& path);
 
 }  // namespace bsdtrace

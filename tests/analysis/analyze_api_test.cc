@@ -13,14 +13,11 @@
 #include "src/workload/fleet.h"
 #include "src/workload/generator.h"
 #include "src/workload/sharded_generator.h"
+#include "tests/testing/temp_path.h"
 #include "tests/testing/trace_builder.h"
 
 namespace bsdtrace {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 Trace SmallTrace() {
   TraceBuilder b;

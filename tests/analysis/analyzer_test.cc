@@ -1,7 +1,6 @@
 #include "src/analysis/analyzer.h"
 
 #include <cstdio>
-#include <filesystem>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -9,6 +8,7 @@
 #include "src/trace/trace_io.h"
 #include "src/trace/trace_source.h"
 #include "tests/testing/analyze_helpers.h"
+#include "tests/testing/temp_path.h"
 #include "tests/testing/trace_builder.h"
 
 namespace bsdtrace {
@@ -78,9 +78,7 @@ TEST(AnalyzeTrace, StreamingSourceMatchesInMemory) {
 
   // ...and through a real file, the full generate-to-file → analyze-from-file
   // recipe.
-  const std::string path = (std::filesystem::temp_directory_path() /
-                            "bsdtrace-analyzer-stream-test.trc")
-                               .string();
+  const std::string path = TempPath("analyzer-stream-test.trc");
   ASSERT_TRUE(SaveTrace(path, trace).ok());
   TraceFileSource file_source(path);
   AnalyzeOptions file_options;

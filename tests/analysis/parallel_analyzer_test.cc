@@ -13,14 +13,11 @@
 #include "src/trace/trace_io.h"
 #include "src/trace/trace_source.h"
 #include "src/workload/generator.h"
+#include "tests/testing/temp_path.h"
 #include "tests/testing/trace_builder.h"
 
 namespace bsdtrace {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 // Saves as v3 with tiny blocks (many segment boundaries) and returns the
 // serial streaming analysis of the same file.

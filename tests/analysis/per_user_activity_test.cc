@@ -16,6 +16,7 @@
 #include "src/workload/fleet.h"
 #include "src/workload/sharded_generator.h"
 #include "tests/testing/analyze_helpers.h"
+#include "tests/testing/temp_path.h"
 #include "tests/testing/trace_builder.h"
 
 namespace bsdtrace {
@@ -108,7 +109,7 @@ TEST(PerUserActivity, FleetSerialAndParallelAnalysesBitIdentical) {
   ASSERT_TRUE(generated.ok()) << generated.status().message();
 
   // Tiny blocks force many parallel segment boundaries.
-  const std::string path = ::testing::TempDir() + "/per_user_fleet.trc";
+  const std::string path = TempPath("per_user_fleet.trc");
   TraceWriterOptions writer;
   writer.version = 3;
   writer.block_target_bytes = 4096;

@@ -4,7 +4,6 @@
 // configuration and both billing policies.
 
 #include <cstdio>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -15,6 +14,7 @@
 #include "src/trace/trace_io.h"
 #include "src/workload/generator.h"
 #include "src/workload/profile.h"
+#include "tests/testing/temp_path.h"
 #include "tests/testing/trace_builder.h"
 
 namespace bsdtrace {
@@ -135,9 +135,7 @@ TEST(ReplayParity, StreamingBuildMatchesInMemory) {
   const Trace trace = GenerateTraceOnly(ProfileA5(), options);
   const ReplayLog direct = ReplayLog::Build(trace);
 
-  const std::string path = (std::filesystem::temp_directory_path() /
-                            "bsdtrace-replay-parity-stream.trc")
-                               .string();
+  const std::string path = TempPath("replay-parity-stream.trc");
   ASSERT_TRUE(SaveTrace(path, trace).ok());
   auto from_file = ReplayLog::BuildFromFile(path);
   std::remove(path.c_str());

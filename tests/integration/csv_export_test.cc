@@ -10,13 +10,12 @@
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
 #include "src/analysis/analyzer.h"
 #include "src/core/experiments.h"
 #include "tests/testing/analyze_helpers.h"
+#include "tests/testing/temp_path.h"
 #include "src/workload/generator.h"
 #include "src/workload/profile.h"
 
@@ -26,10 +25,6 @@ namespace {
 namespace fs = std::filesystem;
 
 // Scratch names carry the pid: ctest may run these cases concurrently.
-std::string TempName(const std::string& name) {
-  return std::to_string(getpid()) + "-" + name;
-}
-
 // Parses a CSV written by CsvWriter.  The export cells never contain
 // commas/quotes, so a plain split is exact.
 std::vector<std::vector<std::string>> ParseCsv(const std::string& path) {
@@ -67,7 +62,7 @@ class CsvExportTest : public ::testing::Test {
 const TraceAnalysis* CsvExportTest::analysis_ = nullptr;
 
 TEST_F(CsvExportTest, FigureCsvsRoundTrip) {
-  const fs::path dir = fs::temp_directory_path() / TempName("bsdtrace-csv-test");
+  const fs::path dir = fs::path(TempPath("bsdtrace-csv-test"));
   fs::remove_all(dir);
   ASSERT_TRUE(fs::create_directories(dir));
   const std::vector<NamedAnalysis> traces = {{"A5", analysis_}};
@@ -117,7 +112,7 @@ TEST_F(CsvExportTest, FigureCsvsRoundTrip) {
 }
 
 TEST_F(CsvExportTest, MissingDirectoryIsCleanError) {
-  const fs::path dir = fs::temp_directory_path() / TempName("bsdtrace-csv-test-missing") / "nested";
+  const fs::path dir = fs::path(TempPath("bsdtrace-csv-test-missing")) / "nested";
   fs::remove_all(dir.parent_path());
   const std::vector<NamedAnalysis> traces = {{"A5", analysis_}};
   const Status st = ExportFigureCsvs(dir.string(), traces);
@@ -142,7 +137,7 @@ TEST(SweepCsvExport, RoundTripsPoints) {
   points[1].metrics.disk_writes = 300;
 
   const std::string path =
-      (fs::temp_directory_path() / TempName("bsdtrace-csv-test-sweep.csv")).string();
+      TempPath("bsdtrace-csv-test-sweep.csv");
   const Status st = ExportSweepCsv(path, points);
   ASSERT_TRUE(st.ok()) << st.message();
 
@@ -162,7 +157,7 @@ TEST(SweepCsvExport, RoundTripsPoints) {
 
 TEST(SweepCsvExport, MissingDirectoryIsCleanError) {
   const std::string path =
-      (fs::temp_directory_path() / TempName("bsdtrace-csv-test-no-dir") / "fig5.csv").string();
+      (fs::path(TempPath("bsdtrace-csv-test-no-dir")) / "fig5.csv").string();
   const Status st = ExportSweepCsv(path, {});
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("cannot open"), std::string::npos) << st.message();

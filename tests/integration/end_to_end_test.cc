@@ -4,6 +4,9 @@
 // reproduce?" checks, run on a short trace so the suite stays fast; the
 // bench binaries run the full-scale versions.
 
+#include <cstdio>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "src/analysis/analyzer.h"
@@ -12,6 +15,7 @@
 #include "src/trace/validate.h"
 #include "src/workload/generator.h"
 #include "tests/testing/analyze_helpers.h"
+#include "tests/testing/temp_path.h"
 
 namespace bsdtrace {
 namespace {
@@ -48,9 +52,10 @@ TEST_F(EndToEndTest, TraceValidates) {
 }
 
 TEST_F(EndToEndTest, TraceSurvivesBinaryRoundTrip) {
-  std::stringstream buf;
-  WriteBinaryTrace(buf, trace());
-  auto loaded = ReadBinaryTrace(buf);
+  const std::string path = TempPath("end_to_end.trc");
+  ASSERT_TRUE(SaveTrace(path, trace()).ok());
+  auto loaded = LoadTrace(path);
+  std::remove(path.c_str());
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value(), trace());
 }

@@ -1,12 +1,14 @@
 // Tests for the core experiment facade: render functions produce the
 // paper-shaped reports from real (small) inputs.
 
+#include <filesystem>
 #include <fstream>
 
 #include <gtest/gtest.h>
 
 #include "src/core/experiments.h"
 #include "tests/testing/analyze_helpers.h"
+#include "tests/testing/temp_path.h"
 
 namespace bsdtrace {
 namespace {
@@ -110,7 +112,8 @@ TEST_F(ExperimentsTest, CacheRenderingsCoverAxes) {
 }
 
 TEST_F(ExperimentsTest, CsvExportWritesFigureSeries) {
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = TempPath("figure_csvs");
+  std::filesystem::create_directories(dir);
   const Status st = ExportFigureCsvs(dir, Named());
   ASSERT_TRUE(st.ok()) << st.message();
   for (const char* name : {"fig1_runs.csv", "fig2_filesizes.csv", "fig3_opentimes.csv",
@@ -124,10 +127,11 @@ TEST_F(ExperimentsTest, CsvExportWritesFigureSeries) {
     std::getline(in, row);
     EXPECT_FALSE(row.empty()) << name;
   }
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(ExperimentsTest, CsvExportSweep) {
-  const std::string path = ::testing::TempDir() + "/sweep.csv";
+  const std::string path = TempPath("sweep.csv");
   const auto points = RunCacheSweep(result_->trace, Fig7Configs());
   ASSERT_TRUE(ExportSweepCsv(path, points).ok());
   std::ifstream in(path);
@@ -138,6 +142,7 @@ TEST_F(ExperimentsTest, CsvExportSweep) {
     ++lines;
   }
   EXPECT_EQ(lines, points.size() + 1);  // header + one row per point
+  std::filesystem::remove(path);
 }
 
 TEST(CsvExport, BadDirectoryFails) {

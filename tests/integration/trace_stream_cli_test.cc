@@ -1,7 +1,8 @@
 // In-process tests of the trace_stream CLI (src/core/trace_stream_cli.h):
 // strict argument parsing (no silent atoi/atof coercion), profile-name
 // errors that teach the valid names, and the generate/analyze/info round
-// trip including the Table I --check-bands gate.
+// trip including the Table I --check-bands gate, and the whole-trace
+// validate/slice/users/top commands on every writable format version.
 
 #include "src/core/trace_stream_cli.h"
 
@@ -11,11 +12,11 @@
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
+#include "src/trace/filter.h"
 #include "src/trace/trace_io.h"
+#include "tests/testing/temp_path.h"
 #include "tests/testing/trace_builder.h"
 
 namespace bsdtrace {
@@ -35,12 +36,6 @@ int RunCaptured(const std::vector<std::string>& args, std::string* err) {
   const int rc = RunCli(args);
   *err = ::testing::internal::GetCapturedStderr();
   return rc;
-}
-
-// ctest runs every case as its own process, possibly concurrently, and some
-// cases share file names: the pid keeps their scratch files apart.
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + std::to_string(getpid()) + "_" + name;
 }
 
 bool FileExists(const std::string& path) {
@@ -357,6 +352,133 @@ TEST(TraceStreamCli, ImportExportUsageErrors) {
   // Missing input is a runtime failure (exit 1), not usage.
   EXPECT_EQ(RunCaptured({"import", TempPath("no_such.txt"), TempPath("x.trc")}, &err), 1);
   EXPECT_EQ(RunCaptured({"export", TempPath("no_such.trc")}, &err), 1);
+}
+
+// -- validate / slice / users / top -------------------------------------------
+
+// Runs the CLI with stdout captured; returns the exit code.
+int RunStdout(const std::vector<std::string>& args, std::string* out) {
+  ::testing::internal::CaptureStdout();
+  const int rc = RunCli(args);
+  *out = ::testing::internal::GetCapturedStdout();
+  return rc;
+}
+
+// The four whole-trace commands on a v3 (--compress=none) and a v4
+// (--compress=lz) generated file.
+TEST(TraceStreamCli, ValidateSliceUsersTopOnV3AndV4) {
+  for (const std::string compress : {"none", "lz"}) {
+    const std::string in = TempPath("cli_whole_" + compress + ".trc");
+    const std::string cut = TempPath("cli_whole_" + compress + "_slice.trc");
+    ASSERT_EQ(RunCli({"generate", in, "--profile=A5", "--hours=0.5", "--shards=2",
+                      "--threads=2", "--seed=5", "--compress=" + compress}),
+              0);
+    {
+      TraceFileReader reader(in);
+      EXPECT_EQ(reader.version(), compress == "lz" ? 4 : 3);
+    }
+    auto loaded = LoadTrace(in);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+    const Trace& trace = loaded.value();
+
+    std::string out;
+    EXPECT_EQ(RunStdout({"validate", in}, &out), 0) << compress;
+    EXPECT_EQ(out.find(std::to_string(trace.size()) + " records\n"), 0u) << out;
+    EXPECT_NE(out.find("trace is structurally valid"), std::string::npos) << out;
+
+    EXPECT_EQ(RunStdout({"users", in}, &out), 0) << compress;
+    std::string expected_users = "user\tevents\n";
+    for (const auto& [user, events] : CountEventsByUser(trace)) {
+      expected_users += std::to_string(user) + "\t" + std::to_string(events) + "\n";
+    }
+    EXPECT_EQ(out, expected_users);
+
+    EXPECT_EQ(RunStdout({"top", in, "3"}, &out), 0) << compress;
+    EXPECT_NE(out.find("distinct files"), std::string::npos) << out;
+    EXPECT_NE(out.find("top 3 files' access share"), std::string::npos) << out;
+    EXPECT_NE(out.find("files covering 90% of accesses"), std::string::npos) << out;
+    EXPECT_EQ(RunStdout({"top", in}, &out), 0);
+    EXPECT_NE(out.find("top 10 files"), std::string::npos) << out;
+
+    // The slice holds exactly SliceByTime's records, written as v4 with the
+    // requested block codec.
+    EXPECT_EQ(RunStdout({"slice", in, cut, "300", "1200.5", "--compress=" + compress}, &out),
+              0);
+    const Trace expected =
+        SliceByTime(trace, SimTime::FromMicros(300'000'000), SimTime::FromMicros(1'200'500'000));
+    EXPECT_GT(expected.size(), 0u);
+    EXPECT_LT(expected.size(), trace.size());
+    EXPECT_EQ(out, "wrote " + std::to_string(expected.size()) + " of " +
+                       std::to_string(trace.size()) + " records\n");
+    auto sliced = LoadTrace(cut);
+    ASSERT_TRUE(sliced.ok()) << sliced.status().message();
+    EXPECT_EQ(sliced.value(), expected);
+    {
+      TraceFileReader reader(cut);
+      EXPECT_EQ(reader.version(), 4);
+    }
+    EXPECT_EQ(RunStdout({"validate", cut}, &out), 0) << out;
+    std::remove(in.c_str());
+    std::remove(cut.c_str());
+  }
+}
+
+TEST(TraceStreamCli, ValidateFailsOnInvalidTrace) {
+  TraceBuilder b;
+  b.Close(1.0, /*oid=*/9, /*file=*/2, 10, 10);  // closes an id never opened
+  const std::string path = TempPath("cli_validate_bad.trc");
+  ASSERT_TRUE(SaveTrace(path, b.Build()).ok());
+  std::string out;
+  EXPECT_EQ(RunStdout({"validate", path}, &out), 1);
+  EXPECT_NE(out.find("trace is INVALID"), std::string::npos) << out;
+  std::remove(path.c_str());
+}
+
+TEST(TraceStreamCli, WholeTraceCommandUsageErrors) {
+  const std::string in = TempPath("cli_whole_usage.trc");
+  const std::string cut = TempPath("cli_whole_usage_slice.trc");
+  TraceBuilder b;
+  b.WholeRead(1.0, 2.0, /*oid=*/1, /*file=*/2, /*size=*/4096);
+  ASSERT_TRUE(SaveTrace(in, b.Build()).ok());
+  std::string err;
+  // Missing or extra positionals: usage, exit 2.
+  for (const std::vector<std::string>& args : std::vector<std::vector<std::string>>{
+           {"validate"}, {"users"}, {"top"}, {"slice"}, {"slice", in},
+           {"slice", in, cut}, {"slice", in, cut, "0"}, {"validate", in, "extra"},
+           {"users", in, "extra"}, {"top", in, "3", "extra"}}) {
+    EXPECT_EQ(RunCaptured(args, &err), 2) << args.size() << " args to " << args[0];
+    EXPECT_NE(err.find("usage:"), std::string::npos) << err;
+  }
+  // Malformed numbers reject as strictly as every other numeric argument:
+  // no trailing garbage, no signs, no exponents.
+  for (const std::vector<std::string>& args : std::vector<std::vector<std::string>>{
+           {"slice", in, cut, "abc", "10"}, {"slice", in, cut, "1.5x", "10"},
+           {"slice", in, cut, "-1", "10"}, {"slice", in, cut, "0", "10s"},
+           {"slice", in, cut, "0", "1e3"}, {"slice", in, cut, "0", ""},
+           {"top", in, "5x"}, {"top", in, "-1"}}) {
+    EXPECT_EQ(RunCaptured(args, &err), 2) << "accepted: " << args.back();
+    EXPECT_NE(err.find("invalid"), std::string::npos) << err;
+  }
+  EXPECT_EQ(RunCaptured({"slice", in, cut, "10", "5"}, &err), 2);
+  EXPECT_NE(err.find("to_s 5 is before from_s 10"), std::string::npos) << err;
+  EXPECT_FALSE(FileExists(cut)) << "a rejected slice wrote a trace";
+
+  // slice shares import's --compress; the others take no flags.
+  EXPECT_EQ(RunCaptured({"slice", in, cut, "0", "10", "--compress=zip"}, &err), 2);
+  EXPECT_NE(err.find("invalid --compress"), std::string::npos) << err;
+  EXPECT_EQ(RunCaptured({"users", in, "--compress=lz"}, &err), 2);
+  EXPECT_NE(err.find("not accepted"), std::string::npos) << err;
+  std::string help;
+  EXPECT_EQ(RunStdout({"slice", "--help"}, &help), 0);
+  EXPECT_NE(help.find("--compress=none|lz"), std::string::npos) << help;
+
+  // A missing input is a runtime failure (exit 1), not usage.
+  for (const std::string cmd : {"validate", "users", "top"}) {
+    EXPECT_EQ(RunCaptured({cmd, TempPath("no_such.trc")}, &err), 1) << cmd;
+    EXPECT_NE(err.find("cannot read"), std::string::npos) << err;
+  }
+  EXPECT_EQ(RunCaptured({"slice", TempPath("no_such.trc"), cut, "0", "10"}, &err), 1);
+  std::remove(in.c_str());
 }
 
 }  // namespace

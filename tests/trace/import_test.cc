@@ -20,6 +20,7 @@
 #include "src/util/rng.h"
 #include "src/workload/generator.h"
 #include "src/workload/profile.h"
+#include "tests/testing/temp_path.h"
 
 #ifndef BSDTRACE_TEST_DATA_DIR
 #define BSDTRACE_TEST_DATA_DIR "tests/data"
@@ -41,7 +42,8 @@ Trace Collect(TextTraceSource& source) {
 
 std::string ExportText(const Trace& trace) {
   std::ostringstream out;
-  EXPECT_TRUE(WriteTextTrace(out, trace).ok());
+  TraceVectorSource source(trace);
+  EXPECT_TRUE(WriteTextTrace(out, source).ok());
   return out.str();
 }
 
@@ -108,7 +110,7 @@ TEST(TextTraceSource, HeaderCommentsAfterFirstRecordAreIgnored) {
 }
 
 TEST(TextTraceSource, MissingFileSurfacesInStatus) {
-  TextTraceSource source(std::string(::testing::TempDir() + "/no_such_trace.txt"));
+  TextTraceSource source(TempPath("no_such_trace.txt"));
   TraceRecord record{};
   EXPECT_FALSE(source.Next(&record));
   EXPECT_FALSE(source.status().ok());

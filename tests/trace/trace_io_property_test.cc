@@ -1,29 +1,23 @@
-// Property tests for the binary trace codec: the legacy iostream path and
-// the block-buffered file path must accept arbitrary record streams, agree
-// byte for byte, and round-trip bit-exactly — including extreme varint
-// values, negative time deltas, and both header versions.
+// Property tests for the binary trace codec: the file writer and every
+// file reader must accept arbitrary record streams, re-encode them byte for
+// byte, and round-trip them bit-exactly — including extreme varint values,
+// negative time deltas, and both header versions.
 
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "gtest/gtest.h"
 #include "src/trace/trace_io.h"
+#include "src/trace/trace_source.h"
 #include "src/util/rng.h"
+#include "tests/testing/temp_path.h"
 
 namespace bsdtrace {
 namespace {
-
-// Unique per process: ctest runs each TEST() of this binary as its own
-// parallel process, and they must not share scratch files.
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
-}
 
 // Random record with occasional extreme field values: zero, one, varint
 // byte-length boundaries, and the 64-bit maximum.  Records are built through
@@ -85,15 +79,23 @@ Trace RandomTrace(uint64_t seed, size_t records) {
   return trace;
 }
 
-std::string StreamBytes(const Trace& trace) {
-  std::ostringstream out;
-  WriteBinaryTrace(out, trace);
-  return std::move(out).str();
-}
-
 std::string FileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
+void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// The v2 file bytes SaveTrace writes for `trace`.
+std::string SavedBytes(const Trace& trace) {
+  const std::string path = TempPath("prop_saved.trace");
+  EXPECT_TRUE(SaveTrace(path, trace).ok());
+  std::string bytes = FileBytes(path);
+  std::remove(path.c_str());
+  return bytes;
 }
 
 // Parses one LEB128 varint (for rewriting headers in the v1 test).
@@ -125,12 +127,18 @@ std::string ToV1(const std::string& v2) {
 
 class TraceIoProperty : public ::testing::TestWithParam<uint64_t> {};
 
-// The buffered file path emits exactly the bytes of the iostream path.
+// Streaming a saved file back through TraceFileSource into SaveTrace
+// reproduces its bytes exactly: decode then re-encode is the identity.
 TEST_P(TraceIoProperty, BufferedBytesMatchStreamBytes) {
   const Trace trace = RandomTrace(GetParam(), 400);
   const std::string path = TempPath("prop_bytes.trace");
+  const std::string resaved = TempPath("prop_bytes_resaved.trace");
   ASSERT_TRUE(SaveTrace(path, trace).ok());
-  EXPECT_EQ(FileBytes(path), StreamBytes(trace));
+  TraceFileSource source(path);
+  ASSERT_TRUE(SaveTrace(resaved, source).ok());
+  EXPECT_EQ(FileBytes(resaved), FileBytes(path));
+  std::remove(path.c_str());
+  std::remove(resaved.c_str());
 }
 
 // Round trip through the buffered path is the identity, via both the mmap
@@ -156,84 +164,88 @@ TEST_P(TraceIoProperty, BufferedRoundTripIdentity) {
     ASSERT_TRUE(reader.status().ok()) << reader.status().message();
     EXPECT_EQ(reread, trace) << "prefer_mmap=" << prefer_mmap;
   }
+  std::remove(path.c_str());
 }
 
-// Cross-path reads: bytes written by either writer load through the other
-// reader.
+// Cross-format reads: the same records written as v2, v3 and v4 load
+// identically through LoadTrace and the streaming TraceFileSource.
 TEST_P(TraceIoProperty, CrossPathReads) {
   const Trace trace = RandomTrace(GetParam(), 300);
   const std::string path = TempPath("prop_cross.trace");
-  {
-    std::ofstream out(path, std::ios::binary);
-    WriteBinaryTrace(out, trace);
-  }
-  auto via_buffered = LoadTrace(path);
-  ASSERT_TRUE(via_buffered.ok()) << via_buffered.status().message();
-  EXPECT_EQ(via_buffered.value(), trace);
+  for (const int version : {2, 3, 4}) {
+    ASSERT_TRUE(SaveTrace(path, trace, {.version = version}).ok());
+    auto via_load = LoadTrace(path);
+    ASSERT_TRUE(via_load.ok()) << via_load.status().message();
+    EXPECT_EQ(via_load.value(), trace) << "v" << version;
 
-  ASSERT_TRUE(SaveTrace(path, trace).ok());
-  std::ifstream in(path, std::ios::binary);
-  auto via_stream = ReadBinaryTrace(in);
-  ASSERT_TRUE(via_stream.ok()) << via_stream.status().message();
-  EXPECT_EQ(via_stream.value(), trace);
+    TraceFileSource source(path);
+    auto via_source = CollectTrace(source);
+    ASSERT_TRUE(via_source.ok()) << via_source.status().message();
+    EXPECT_EQ(via_source.value(), trace) << "v" << version;
+  }
+  std::remove(path.c_str());
 }
 
-// v1 files (no record count) read identically through both paths.
+// v1 files (no record count) read identically through every read path.
 TEST_P(TraceIoProperty, VersionOneHeader) {
   const Trace trace = RandomTrace(GetParam(), 200);
-  const std::string v1_bytes = ToV1(StreamBytes(trace));
   const std::string path = TempPath("prop_v1.trace");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out.write(v1_bytes.data(), static_cast<std::streamsize>(v1_bytes.size()));
+  WriteFileBytes(path, ToV1(SavedBytes(trace)));
+
+  auto via_load = LoadTrace(path);
+  ASSERT_TRUE(via_load.ok()) << via_load.status().message();
+  EXPECT_EQ(via_load.value(), trace);
+
+  for (bool prefer_mmap : {true, false}) {
+    TraceFileReader reader(path, prefer_mmap);
+    ASSERT_TRUE(reader.status().ok());
+    EXPECT_EQ(reader.version(), 1);
+    EXPECT_EQ(reader.declared_record_count(), -1);
+    Trace reread(reader.header());
+    TraceRecord record;
+    while (reader.Next(&record)) {
+      reread.Append(record);
+    }
+    ASSERT_TRUE(reader.status().ok()) << reader.status().message();
+    EXPECT_EQ(reread, trace) << "prefer_mmap=" << prefer_mmap;
   }
-
-  auto via_buffered = LoadTrace(path);
-  ASSERT_TRUE(via_buffered.ok()) << via_buffered.status().message();
-  EXPECT_EQ(via_buffered.value(), trace);
-
-  TraceFileReader reader(path);
-  ASSERT_TRUE(reader.status().ok());
-  EXPECT_EQ(reader.declared_record_count(), -1);
-
-  std::istringstream in(v1_bytes);
-  auto via_stream = ReadBinaryTrace(in);
-  ASSERT_TRUE(via_stream.ok()) << via_stream.status().message();
-  EXPECT_EQ(via_stream.value(), trace);
+  std::remove(path.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TraceIoProperty,
                          ::testing::Values(1u, 2u, 3u, 77u, 19851201u));
 
-// Truncation anywhere in the body is an error on both paths, never a crash.
+// Truncation anywhere in the body is an error on every read path, never a
+// crash.
 TEST(TraceIoPropertyEdge, TruncatedFilesFailCleanly) {
   const Trace trace = RandomTrace(99, 50);
-  const std::string bytes = StreamBytes(trace);
+  const std::string bytes = SavedBytes(trace);
   const std::string path = TempPath("prop_trunc.trace");
   Rng rng(7);
   for (int i = 0; i < 20; ++i) {
     const size_t cut = static_cast<size_t>(
         rng.UniformInt(9, static_cast<int64_t>(bytes.size()) - 2));
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out.write(bytes.data(), static_cast<std::streamsize>(cut));
-    }
+    WriteFileBytes(path, bytes.substr(0, cut));
     EXPECT_FALSE(LoadTrace(path).ok()) << "cut at " << cut;
-    std::istringstream in(bytes.substr(0, cut));
-    EXPECT_FALSE(ReadBinaryTrace(in).ok()) << "cut at " << cut;
+    for (bool prefer_mmap : {true, false}) {
+      TraceFileReader reader(path, prefer_mmap);
+      TraceRecord record;
+      while (reader.Next(&record)) {
+      }
+      EXPECT_FALSE(reader.status().ok()) << "cut at " << cut << " prefer_mmap=" << prefer_mmap;
+    }
   }
+  std::remove(path.c_str());
 }
 
 // An empty file and a bad magic are reported as errors, not end-of-trace.
 TEST(TraceIoPropertyEdge, BadHeadersFail) {
   const std::string path = TempPath("prop_bad.trace");
-  { std::ofstream out(path, std::ios::binary | std::ios::trunc); }
+  WriteFileBytes(path, "");
   EXPECT_FALSE(LoadTrace(path).ok());
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << "NOTATRACE!";
-  }
+  WriteFileBytes(path, "NOTATRACE!");
   EXPECT_FALSE(LoadTrace(path).ok());
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -15,19 +15,17 @@
 
 #include "src/trace/trace_io.h"
 #include "src/trace/trace_merge.h"
+#include "tests/testing/temp_path.h"
 #include "tests/testing/trace_builder.h"
 
 namespace bsdtrace {
 namespace {
 
-// A unique temp-file path per test; removed by the fixture-less tests
-// themselves via ScopedPath.
+// A unique temp-file path per test, removed when it goes out of scope.
 class ScopedPath {
  public:
   explicit ScopedPath(const std::string& stem)
-      : path_((std::filesystem::temp_directory_path() /
-               ("bsdtrace-source-test-" + stem + ".trc"))
-                  .string()) {
+      : path_(TempPath("source-test-" + stem + ".trc")) {
     std::remove(path_.c_str());
   }
   ~ScopedPath() { std::remove(path_.c_str()); }
@@ -196,22 +194,22 @@ TEST(TraceFileSource, LyingHeaderCountIsClampedToFileSize) {
   EXPECT_TRUE(loaded.value().empty());
 }
 
-TEST(ReadBinaryTrace, LyingHeaderCountIsClampedOnIstreams) {
-  std::istringstream in(V2FileWithDeclaredCount(uint64_t{1} << 50));
-  auto loaded = ReadBinaryTrace(in);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
-  EXPECT_TRUE(loaded.value().empty());
-}
-
 TEST(ReadBinaryTrace, ShortVarintHeaderIsCleanError) {
   // Magic plus half a varint: length byte promising more data than exists.
+  ScopedPath path("short-varint");
   std::string bytes = "BSDTRC2\n";
   bytes.push_back(static_cast<char>(0x85));  // continuation bit set, then EOF
-  std::istringstream in(bytes);
-  auto loaded = ReadBinaryTrace(in);
+  WriteFileBytes(path.get(), bytes);
+  auto loaded = LoadTrace(path.get());
   EXPECT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().message().find("truncated"), std::string::npos)
       << loaded.status().message();
+  for (const bool prefer_mmap : {true, false}) {
+    TraceFileReader reader(path.get(), prefer_mmap);
+    EXPECT_FALSE(reader.status().ok()) << "prefer_mmap=" << prefer_mmap;
+    EXPECT_NE(reader.status().message().find("truncated"), std::string::npos)
+        << reader.status().message();
+  }
 }
 
 // -- SaveTrace(TraceSource&) --------------------------------------------------

@@ -9,21 +9,16 @@
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
 #include "src/trace/trace_io.h"
 #include "src/trace/trace_source.h"
 #include "src/trace/validate.h"
 #include "src/util/rng.h"
+#include "tests/testing/temp_path.h"
 
 namespace bsdtrace {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
-}
 
 std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/trace/trace_io.h"
+#include "tests/testing/temp_path.h"
 #include "tests/testing/trace_builder.h"
 
 namespace bsdtrace {
@@ -149,7 +150,7 @@ Trace FileCheckTrace() {
 }
 
 TEST(CheckTraceFile, CleanV3FileChecksOut) {
-  const std::string path = ::testing::TempDir() + "/check_v3.trc";
+  const std::string path = TempPath("check_v3.trc");
   TraceWriterOptions options;
   options.version = 3;
   options.block_target_bytes = 512;
@@ -169,7 +170,7 @@ TEST(CheckTraceFile, CleanV3FileChecksOut) {
 }
 
 TEST(CheckTraceFile, CleanV2FileChecksOut) {
-  const std::string path = ::testing::TempDir() + "/check_v2.trc";
+  const std::string path = TempPath("check_v2.trc");
   const Trace trace = FileCheckTrace();
   ASSERT_TRUE(SaveTrace(path, trace).ok());
 
@@ -182,7 +183,7 @@ TEST(CheckTraceFile, CleanV2FileChecksOut) {
 }
 
 TEST(CheckTraceFile, FlippedByteIsReported) {
-  const std::string path = ::testing::TempDir() + "/check_flip.trc";
+  const std::string path = TempPath("check_flip.trc");
   TraceWriterOptions options;
   options.version = 3;
   options.block_target_bytes = 512;
@@ -262,7 +263,7 @@ TEST(ValidateTrace, SeekFromBehindTrackedPositionNamesBothPositions) {
 }
 
 TEST(CheckTraceFile, MissingFileIsAnError) {
-  EXPECT_FALSE(CheckTraceFile(::testing::TempDir() + "/no_such_trace.trc").ok());
+  EXPECT_FALSE(CheckTraceFile(TempPath("no_such_trace.trc")).ok());
 }
 
 }  // namespace

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "src/trace/trace_io.h"
 #include "src/trace/validate.h"
 #include "src/workload/generator.h"
 #include "src/workload/profile.h"
@@ -24,12 +22,6 @@ GeneratorOptions ShortOptions() {
   return options;
 }
 
-std::string Serialize(const Trace& trace) {
-  std::ostringstream out;
-  WriteBinaryTrace(out, trace);
-  return std::move(out).str();
-}
-
 GenerationResult Generate(int shards, int threads) {
   ShardedGeneratorOptions options;
   options.base = ShortOptions();
@@ -41,22 +33,22 @@ GenerationResult Generate(int shards, int threads) {
 TEST(ShardedGenerator, OneShardIsBitIdenticalToSerial) {
   const GenerationResult serial = GenerateTrace(ProfileA5(), ShortOptions());
   const GenerationResult sharded = Generate(/*shards=*/1, /*threads=*/1);
-  EXPECT_EQ(Serialize(serial.trace), Serialize(sharded.trace));
+  EXPECT_EQ(serial.trace, sharded.trace);
   EXPECT_EQ(serial.trace.header().description, sharded.trace.header().description);
   EXPECT_EQ(serial.tasks_executed, sharded.tasks_executed);
   EXPECT_EQ(serial.kernel_counters.opens, sharded.kernel_counters.opens);
   EXPECT_EQ(serial.kernel_counters.bytes_read, sharded.kernel_counters.bytes_read);
 }
 
-// The core determinism contract: for a fixed shard count the serialized
+// The core determinism contract: for a fixed shard count the generated
 // trace does not depend on the thread count or the run.
 TEST(ShardedGenerator, DeterministicAcrossThreadCountsAndRuns) {
   const int hw = std::max(2u, std::thread::hardware_concurrency());
   for (int shards : {1, 2, 8}) {
-    const std::string once = Serialize(Generate(shards, /*threads=*/1).trace);
-    EXPECT_EQ(once, Serialize(Generate(shards, /*threads=*/1).trace))
+    const Trace once = Generate(shards, /*threads=*/1).trace;
+    EXPECT_EQ(once, Generate(shards, /*threads=*/1).trace)
         << "rerun differs at shards=" << shards;
-    EXPECT_EQ(once, Serialize(Generate(shards, /*threads=*/hw).trace))
+    EXPECT_EQ(once, Generate(shards, /*threads=*/hw).trace)
         << "thread count changes output at shards=" << shards;
     EXPECT_FALSE(once.empty());
   }

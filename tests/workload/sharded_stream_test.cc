@@ -16,6 +16,7 @@
 #include "src/trace/trace_source.h"
 #include "src/workload/generator.h"
 #include "src/workload/profile.h"
+#include "tests/testing/temp_path.h"
 
 namespace bsdtrace {
 namespace {
@@ -47,8 +48,7 @@ std::string ReadFileBytes(const std::string& path) {
 class ScopedPath {
  public:
   explicit ScopedPath(const std::string& stem)
-      : path_((fs::temp_directory_path() / ("bsdtrace-stream-test-" + stem + ".trc"))
-                  .string()) {
+      : path_(TempPath("stream-test-" + stem + ".trc")) {
     std::remove(path_.c_str());
   }
   ~ScopedPath() { std::remove(path_.c_str()); }
@@ -116,8 +116,7 @@ TEST(ShardedStream, StatsMatchInMemoryPath) {
 // Spill files are transient: whatever happens, the private spill directory
 // is gone when generation returns.
 TEST(ShardedStream, SpillDirectoryIsCleanedUp) {
-  const fs::path spill_root =
-      fs::temp_directory_path() / "bsdtrace-stream-test-spillroot";
+  const fs::path spill_root = TempPath("stream-test-spillroot");
   fs::remove_all(spill_root);
   ASSERT_TRUE(fs::create_directories(spill_root));
 

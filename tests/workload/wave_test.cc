@@ -9,22 +9,17 @@
 #include <utility>
 #include <vector>
 
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
 #include "src/trace/trace_io.h"
 #include "src/workload/fleet.h"
 #include "src/workload/sharded_generator.h"
+#include "tests/testing/temp_path.h"
 
 namespace bsdtrace {
 namespace {
 
 using internal::PlanWaves;
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
-}
 
 std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
