@@ -6,7 +6,7 @@
 // Topology: each fleet instance (attributed per event via the v3/v4 fleet
 // tag in the trace header — ReplayLog::ReplayDataEventsWithInstancesInto)
 // owns a client CacheLevel; client miss fetches and write-backs become
-// block accesses on one shared server CacheLevel (cache_level.h's ServerLink
+// block accesses on one shared server CacheLevel (the ServerLink
 // below-policy), and the server's own misses and write-backs are the disk
 // I/Os.  Unlink/truncate/create invalidations fan out to every client and
 // the server, discarding dirty blocks without traffic at any level — a
@@ -24,11 +24,11 @@
 //     on fan-out invalidations, so an idle client's flush scans run at its
 //     next event — the flushed blocks still reach the server stamped with
 //     the epoch-boundary time.
-//   * client.size_bytes == 0 removes the client layer entirely: events
-//     route straight to the server level through exactly the single-level
-//     simulator's driver logic, making the degenerate hierarchy bit-
-//     identical to CacheSimulator with the server config — the parity gate
-//     bench_hier_cache enforces.
+//   * client.size_bytes == 0 removes the client layer entirely: the shared
+//     replay front end (cache_level.h) drives the server level exactly as
+//     it drives a lone CacheLevel, making the degenerate hierarchy bit-
+//     identical to the single-level simulator with the server config — the
+//     parity gate bench_hier_cache enforces.
 //
 // Metadata simulation is not supported (client-local i-node state has no
 // defined server semantics here); both levels must share a block size.
@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "src/cache/cache_level.h"
-#include "src/util/flat_map.h"
 #include "src/trace/reconstruct.h"
 #include "src/trace/replay_log.h"
 
@@ -86,48 +85,40 @@ struct HierarchyMetrics {
   }
 };
 
-// Drives one hierarchy over an instance-attributed replay.  Mirrors
-// CacheSimulator's trace semantics exactly (extent table or feeds, feed
-// slot consumption, invalidation rules) so the no-client topology is
-// bit-identical to the single-level simulator.
-class HierarchySimulator final {
+// Drives one hierarchy over an instance-attributed replay.  The replay
+// front end (cache_level.h) supplies the trace semantics — extent feeds,
+// which records invalidate, page-in — exactly as it does for a single
+// CacheLevel, so the no-client topology is bit-identical to the
+// single-level simulator; this class only routes the front end's hooks.
+class HierarchySimulator final : public ReplayFrontEnd<HierarchySimulator> {
  public:
   // `client_count` clients (clamped up to 1 when the config has a client
   // layer); pass ReplayLog::instance_count() for fleet traces.
   HierarchySimulator(const HierarchyConfig& config, size_t client_count);
 
-  // Same contracts as CacheSimulator.
-  void ReserveFiles(size_t file_count);
-  void SetExtentFeeds(const uint64_t* transfer_feed, const uint64_t* execve_feed) {
-    transfer_extent_feed_ = transfer_feed;
-    execve_extent_feed_ = execve_feed;
+  // Front-end hooks.  A transfer goes to the delivering instance's client
+  // (the server clock advances first, so its flush epochs due before `now`
+  // fire before the new traffic the client forwards down).
+  void AccessBlocks(SimTime now, FileId file, uint64_t offset, uint64_t length, bool is_write,
+                    uint64_t extent) {
+    if (clients_.empty()) {
+      server_.AccessBlocks(now, file, offset, length, is_write, extent);
+      return;
+    }
+    server_.AdvanceClock(now);
+    ClientFor(instance()).AccessBlocks(now, file, offset, length, is_write, extent);
   }
-
-  // Instance-attributed sink (ReplayDataEventsWithInstancesInto).
-  void OnTransferFrom(uint16_t instance, const Transfer& t) {
-    const bool is_write = t.direction == TransferDirection::kWrite;
-    if (transfer_extent_feed_ != nullptr) {
-      // One feed slot per transfer, zero-length included (see CacheSimulator).
-      const uint64_t extent = transfer_extent_feed_[transfer_feed_pos_++];
-      if (t.length > 0) {
-        AccessBlocks(instance, t.time, t.file_id, t.offset, t.length, is_write, extent);
-      }
-    } else {
-      Access(instance, t.time, t.file_id, t.offset, t.length, is_write);
+  // Fans out to every client and the server.
+  void Invalidate(SimTime now, FileId file, uint64_t first_byte);
+  // The owning client follows its own event stream; the server follows the
+  // global stream.
+  void AdvanceClock(SimTime now) {
+    server_.AdvanceClock(now);
+    if (!clients_.empty()) {
+      ClientFor(instance()).AdvanceClock(now);
     }
   }
-  void OnRecordFrom(uint16_t instance, const TraceRecord& record);
-
-  // Plain-sink compatibility (untagged replays): everything is instance 0.
-  void OnTransfer(const Transfer& t) { OnTransferFrom(0, t); }
-  void OnRecord(const TraceRecord& r) { OnRecordFrom(0, r); }
-
   void Finish();
-
-  const CacheMetrics& server_metrics() const { return server_.metrics(); }
-  size_t client_count() const { return clients_.size(); }
-  const CacheMetrics& client_metrics(size_t i) const { return clients_[i].metrics(); }
-  const HierarchyConfig& config() const { return config_; }
 
   // Assembles the per-level metrics (call after Finish).
   HierarchyMetrics Collect() const;
@@ -155,35 +146,14 @@ class HierarchySimulator final {
     return clients_[instance < clients_.size() ? instance : 0];
   }
 
-  void Access(uint16_t instance, SimTime now, FileId file, uint64_t offset,
-              uint64_t length, bool is_write);
-  void AccessBlocks(uint16_t instance, SimTime now, FileId file, uint64_t offset,
-                    uint64_t length, bool is_write, uint64_t extent) {
-    if (clients_.empty()) {
-      server_.AccessBlocks(now, file, offset, length, is_write, extent);
-      return;
-    }
-    // Server clock first: its flush epochs due before `now` fire before the
-    // new traffic this event forwards down.
-    server_.AdvanceClock(now);
-    ClientFor(instance).AccessBlocks(now, file, offset, length, is_write, extent);
-  }
-  void InvalidateFrom(SimTime now, FileId file, uint64_t first_byte);
-
-  HierarchyConfig config_;
   ServerLevel server_;
   // deque: CacheLevel is immovable (BlockCache pins itself), and deque
   // never relocates constructed elements.
   std::deque<ClientLevel> clients_;
-  FlatMap<FileId, uint64_t, IdHash> known_extent_{kInvalidFileId};
-  const uint64_t* transfer_extent_feed_ = nullptr;
-  const uint64_t* execve_extent_feed_ = nullptr;
-  size_t transfer_feed_pos_ = 0;
-  size_t execve_feed_pos_ = 0;
 };
 
 // Replays `log` through one hierarchy (clients = log.instance_count() when
-// the config has a client layer).  The feed choice mirrors SimulateCache.
+// the config has a client layer).
 HierarchyMetrics SimulateHierarchy(const ReplayLog& log, const HierarchyConfig& config);
 
 }  // namespace bsdtrace

@@ -4,7 +4,7 @@
 #include <cassert>
 #include <utility>
 
-#include "src/trace/trace.h"
+#include "src/trace/replay_log.h"
 
 namespace bsdtrace {
 
@@ -68,12 +68,12 @@ size_t RoundUpPow2(size_t n) {
 }  // namespace
 
 StackDistanceAnalyzer::StackDistanceAnalyzer(uint32_t block_size, Options options)
-    : block_size_(block_size),
-      options_(options),
+    : ReplayFrontEnd(options.simulate_execve_pagein),
+      block_size_(block_size),
       block_slot_(BlockKey{}),
       file_head_(kInvalidFileId) {
   assert(block_size >= 1);
-  slots_ = RoundUpPow2(std::max<size_t>(2, options_.initial_slots));
+  slots_ = RoundUpPow2(std::max<size_t>(2, options.initial_slots));
   tree_.assign(2 * slots_, LazyNode{});
   slot_block_.resize(slots_ + 1);
   slot_live_.assign(slots_ + 1, 0);
@@ -216,7 +216,7 @@ void StackDistanceAnalyzer::AccessBlock(const BlockKey& key, bool is_write,
   } else {
     profile_.read_accesses_ += 1;
   }
-  // Mirror of CacheSimulator::AccessBlock's fetch predicate: a miss costs a
+  // Mirror of CacheLevel::AccessBlock's fetch predicate: a miss costs a
   // disk read unless the access overwrites the whole block or lies beyond the
   // file's known data.  The predicate is capacity-independent, so one flag
   // per access suffices for every cache size.
@@ -299,116 +299,42 @@ void StackDistanceAnalyzer::AccessBlock(const BlockKey& key, bool is_write,
   }
 }
 
-void StackDistanceAnalyzer::AccessBlocks(const Transfer& t, uint64_t extent) {
-  const bool is_write = t.direction == TransferDirection::kWrite;
-  const uint64_t first = t.offset / block_size_;
-  const uint64_t last = (t.offset + t.length - 1) / block_size_;
-  for (uint64_t b = first; b <= last; ++b) {
-    const uint64_t block_start = b * block_size_;
-    const uint64_t block_end = block_start + block_size_;
-    const bool whole_block =
-        is_write && t.offset <= block_start && t.offset + t.length >= block_end;
-    AccessBlock(BlockKey{.file = t.file_id, .index = b}, is_write, whole_block, extent);
-  }
+void StackDistanceAnalyzer::AccessBlocks(SimTime, FileId file, uint64_t offset,
+                                         uint64_t length, bool is_write, uint64_t extent) {
+  ForEachBlock(block_size_, offset, length, is_write, [&](uint64_t index, bool whole_block) {
+    AccessBlock(BlockKey{.file = file, .index = index}, is_write, whole_block, extent);
+  });
 }
 
-void StackDistanceAnalyzer::OnTransfer(const Transfer& t) {
-  if (transfer_extent_feed_ != nullptr) {
-    // One feed slot per transfer, zero-length included (same contract as
-    // CacheSimulator::OnTransfer).
-    const uint64_t extent = transfer_extent_feed_[transfer_feed_pos_++];
-    if (t.length > 0) {
-      AccessBlocks(t, extent);
-    }
-    return;
-  }
-  if (t.length == 0) {
-    return;
-  }
-  const auto ext = known_extent_.find(t.file_id);
-  AccessBlocks(t, ext != known_extent_.end() ? ext->second : 0);
-  if (ext != known_extent_.end()) {
-    ext->second = std::max(ext->second, t.offset + t.length);
-  } else {
-    known_extent_[t.file_id] = t.offset + t.length;
-  }
-}
-
-void StackDistanceAnalyzer::OnRecord(const TraceRecord& r) {
-  switch (r.type) {
-    case EventType::kCreate:
-    case EventType::kUnlink:
-      InvalidateFrom(r.file_id, 0);
-      break;
-    case EventType::kTruncate:
-      InvalidateFrom(r.file_id, r.size);
-      break;
-    case EventType::kExecve:
-      if (execve_extent_feed_ != nullptr) {
-        if (r.size > 0) {
-          const uint64_t extent = execve_extent_feed_[execve_feed_pos_++];
-          if (options_.simulate_execve_pagein) {
-            Transfer t;
-            t.file_id = r.file_id;
-            t.direction = TransferDirection::kRead;
-            t.offset = 0;
-            t.length = r.size;
-            AccessBlocks(t, extent);
-          }
-        }
-      } else if (options_.simulate_execve_pagein && r.size > 0) {
-        Transfer t;
-        t.file_id = r.file_id;
-        t.direction = TransferDirection::kRead;
-        t.offset = 0;
-        t.length = r.size;
-        OnTransfer(t);
-      }
-      break;
-    default:
-      break;
-  }
-}
-
-void StackDistanceAnalyzer::InvalidateFrom(FileId file, uint64_t first_byte) {
+void StackDistanceAnalyzer::Invalidate(SimTime, FileId file, uint64_t first_byte) {
   size_t* head = file_head_.Find(file);
-  if (head != nullptr) {
-    const uint64_t first_block = (first_byte + block_size_ - 1) / block_size_;
-    size_t s = *head;
-    while (s != 0) {
-      const size_t next = slot_file_next_[s];
-      if (slot_block_[s].index >= first_block) {
-        // A true stack deletion: every slot below the victim loses one block
-        // from its over-stack count.  Order among the doomed is immaterial —
-        // the adds are all negative, so no spurious peak can form.
-        KillSlot(s);
-        block_slot_.Erase(slot_block_[s]);
-        const size_t prev = slot_file_prev_[s];
-        if (prev != 0) {
-          slot_file_next_[prev] = next;
-        } else {
-          *head = next;  // file_head_ untouched since Find: pointer valid
-        }
-        if (next != 0) {
-          slot_file_prev_[next] = prev;
-        }
+  if (head == nullptr) {
+    return;
+  }
+  const uint64_t first_block = (first_byte + block_size_ - 1) / block_size_;
+  size_t s = *head;
+  while (s != 0) {
+    const size_t next = slot_file_next_[s];
+    if (slot_block_[s].index >= first_block) {
+      // A true stack deletion: every slot below the victim loses one block
+      // from its over-stack count.  Order among the doomed is immaterial —
+      // the adds are all negative, so no spurious peak can form.
+      KillSlot(s);
+      block_slot_.Erase(slot_block_[s]);
+      const size_t prev = slot_file_prev_[s];
+      if (prev != 0) {
+        slot_file_next_[prev] = next;
+      } else {
+        *head = next;  // file_head_ untouched since Find: pointer valid
       }
-      s = next;
+      if (next != 0) {
+        slot_file_prev_[next] = prev;
+      }
     }
-    if (*head == 0) {
-      file_head_.Erase(file);
-    }
+    s = next;
   }
-  if (transfer_extent_feed_ != nullptr) {
-    return;  // extent trajectory is precomputed in the feeds
-  }
-  if (first_byte == 0) {
-    known_extent_.erase(file);
-  } else {
-    const auto ext = known_extent_.find(file);
-    if (ext != known_extent_.end()) {
-      ext->second = std::min(ext->second, first_byte);
-    }
+  if (*head == 0) {
+    file_head_.Erase(file);
   }
 }
 
@@ -420,7 +346,7 @@ StackDistanceProfile StackDistanceAnalyzer::Take() {
 StackDistanceProfile ComputeStackDistances(const Trace& trace, uint32_t block_size,
                                            StackDistanceAnalyzer::Options options) {
   StackDistanceAnalyzer analyzer(block_size, options);
-  Reconstruct(trace, &analyzer);
+  analyzer.Replay(ReplayLog::Build(trace));
   return analyzer.Take();
 }
 

@@ -38,10 +38,10 @@
 #define BSDTRACE_SRC_CACHE_STACK_DISTANCE_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/cache/block_cache.h"
+#include "src/cache/cache_level.h"
 #include "src/trace/reconstruct.h"
 #include "src/util/flat_map.h"
 
@@ -105,12 +105,11 @@ class StackDistanceProfile {
   std::vector<uint64_t> fetch_cumulative_;
 };
 
-// Streaming analyzer; feed via Reconstruct() like CacheSimulator, or stream a
-// ReplayLog's data events into it (see sweep.cc).  Mirrors CacheSimulator's
-// access-stream generation exactly: block splitting, whole-block overwrite
-// detection, known-extent tracking (table-maintained or feed-driven), and
-// optional execve page-in.
-class StackDistanceAnalyzer final : public ReconstructionSink {
+// Streaming analyzer, driven through the replay front end (cache_level.h)
+// like every feed-driven cache engine: it sees exactly the block-access
+// stream a CacheLevel does — same block split, whole-block overwrite
+// detection, extent feeds, invalidations and optional execve page-in.
+class StackDistanceAnalyzer final : public ReplayFrontEnd<StackDistanceAnalyzer> {
  public:
   struct Options {
     // Fig. 7: treat each execve as a whole-file read of the program file.
@@ -127,17 +126,12 @@ class StackDistanceAnalyzer final : public ReconstructionSink {
       : StackDistanceAnalyzer(block_size, Options()) {}
   StackDistanceAnalyzer(uint32_t block_size, Options options);
 
-  // Replay fast path: consume the ReplayLog's precomputed known-extent feeds
-  // instead of maintaining the extent table (same contract as
-  // CacheSimulator::SetExtentFeeds).  Call before streaming any events; the
-  // arrays must outlive the analyzer.
-  void SetExtentFeeds(const uint64_t* transfer_feed, const uint64_t* execve_feed) {
-    transfer_extent_feed_ = transfer_feed;
-    execve_extent_feed_ = execve_feed;
-  }
-
-  void OnTransfer(const Transfer& transfer) override;
-  void OnRecord(const TraceRecord& record) override;
+  // Front-end hooks.  Stack distances are time-free: the clock is ignored.
+  void AccessBlocks(SimTime now, FileId file, uint64_t offset, uint64_t length, bool is_write,
+                    uint64_t extent);
+  void Invalidate(SimTime now, FileId file, uint64_t first_byte);
+  void AdvanceClock(SimTime) {}
+  void Finish() {}  // Take() finalizes the profile
 
   // Finalizes and returns the profile; the analyzer is spent afterwards.
   StackDistanceProfile Take();
@@ -161,13 +155,10 @@ class StackDistanceAnalyzer final : public ReconstructionSink {
 
   void AccessBlock(const BlockKey& key, bool is_write, bool whole_block,
                    uint64_t known_extent);
-  void AccessBlocks(const Transfer& t, uint64_t extent);
-  void InvalidateFrom(FileId file, uint64_t first_byte);
   void KillSlot(size_t slot);  // removes a live slot from the stack
   void LinkSlot(size_t slot, FileId file);  // pushes slot onto file's chain
 
   uint32_t block_size_;
-  Options options_;
   StackDistanceProfile profile_;
   // Block -> slot of its most recent access (1-based): a single
   // open-addressing probe per access (the nested per-file map it replaces
@@ -192,17 +183,10 @@ class StackDistanceAnalyzer final : public ReconstructionSink {
   std::vector<BlockKey> slot_block_;  // slot -> block key (valid when live)
   std::vector<uint8_t> slot_live_;
   size_t live_count_ = 0;
-
-  // Highest data offset seen per file (unused when extent feeds are set);
-  // mirrors CacheSimulator::known_extent_.
-  std::unordered_map<FileId, uint64_t> known_extent_;
-  const uint64_t* transfer_extent_feed_ = nullptr;
-  const uint64_t* execve_extent_feed_ = nullptr;
-  size_t transfer_feed_pos_ = 0;
-  size_t execve_feed_pos_ = 0;
 };
 
-// Convenience: analyze a whole trace.
+// Convenience: analyze a whole trace (through a ReplayLog billed at next
+// event, the reconstructor's default).
 StackDistanceProfile ComputeStackDistances(const Trace& trace, uint32_t block_size,
                                            StackDistanceAnalyzer::Options options = {});
 

@@ -18,63 +18,68 @@ CacheMetrics SimulateCache(const Trace& trace, const CacheConfig& config,
 }
 
 CacheMetrics SimulateCache(const ReplayLog& log, const CacheConfig& config) {
-  CacheSimulator sim(config);
-  // The log carries the precomputed known-extent trajectory; pick the
-  // transfer feed matching whether execve page-ins extend extents.
-  sim.SetExtentFeeds(config.simulate_execve_pagein
-                         ? log.transfer_extents_pagein().data()
-                         : log.transfer_extents().data(),
-                     log.execve_extents().data());
-  sim.ReserveFiles(log.distinct_files());
-  // Both paths devirtualize (CacheSimulator is final).  Metadata simulation
-  // reads open/close records; everything else only clock-advances on them,
-  // so the compact stream skips them (bit-identical — see replay_log.h).
   if (config.simulate_metadata) {
+    // Metadata simulation reads open/close records, which only the full
+    // stream carries: the reference simulator replays it.
+    CacheSimulator sim(config);
+    sim.ReserveFiles(log.distinct_files());
     log.ReplayInto(sim);
-  } else {
-    log.ReplayDataEventsInto(sim);
+    sim.Finish();
+    return sim.metrics();
   }
-  sim.Finish();
-  return sim.metrics();
+  CacheLevel<> level(config);
+  level.Replay(log);
+  return level.metrics();
 }
+
+namespace {
+
+// Runs `work` items on `threads` workers (0 = hardware concurrency) with a
+// work-stealing counter.  Workers only need atomicity of the claim itself,
+// not ordering against each other's writes (each item writes disjoint
+// state, and thread join supplies the final synchronization).
+void RunWorkItems(std::vector<std::function<void()>>& work, unsigned threads) {
+  if (threads == 0) {
+    threads = std::max(1u, std::thread::hardware_concurrency());
+  }
+  threads = std::min<unsigned>(threads, static_cast<unsigned>(work.size()));
+  std::atomic<size_t> next{0};
+  auto worker = [&]() {
+    while (true) {
+      const size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= work.size()) {
+        return;
+      }
+      work[i]();
+    }
+  };
+  if (threads <= 1) {
+    worker();
+    return;
+  }
+  std::vector<std::thread> pool;
+  pool.reserve(threads);
+  for (unsigned t = 0; t < threads; ++t) {
+    pool.emplace_back(worker);
+  }
+  for (std::thread& t : pool) {
+    t.join();
+  }
+}
+
+}  // namespace
 
 std::vector<SweepPoint> RunCacheSweep(const ReplayLog& log,
                                       const std::vector<CacheConfig>& configs,
                                       unsigned threads) {
   std::vector<SweepPoint> points(configs.size());
+  std::vector<std::function<void()>> work;
+  work.reserve(configs.size());
   for (size_t i = 0; i < configs.size(); ++i) {
     points[i].config = configs[i];
+    work.push_back([&, i]() { points[i].metrics = SimulateCache(log, configs[i]); });
   }
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  threads = std::min<unsigned>(threads, static_cast<unsigned>(configs.size()));
-
-  // Work-stealing counter: workers only need atomicity of the claim itself,
-  // not ordering against each other's writes (each point is written by
-  // exactly one worker, and thread join supplies the final synchronization).
-  std::atomic<size_t> next{0};
-  auto worker = [&]() {
-    while (true) {
-      const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= points.size()) {
-        return;
-      }
-      points[i].metrics = SimulateCache(log, points[i].config);
-    }
-  };
-  if (threads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) {
-      pool.emplace_back(worker);
-    }
-    for (std::thread& t : pool) {
-      t.join();
-    }
-  }
+  RunWorkItems(work, threads);
   return points;
 }
 
@@ -153,36 +158,45 @@ std::vector<uint64_t> SweepCurveSizes() {
 
 namespace {
 
-// Runs `work` items on `threads` workers with a work-stealing counter (same
-// discipline as RunCacheSweep: each item writes disjoint state; join is the
-// only synchronization).
-void RunWorkItems(std::vector<std::function<void()>>& work, unsigned threads) {
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  threads = std::min<unsigned>(threads, static_cast<unsigned>(work.size()));
-  std::atomic<size_t> next{0};
-  auto worker = [&]() {
-    while (true) {
-      const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= work.size()) {
-        return;
-      }
-      work[i]();
+// Single-level rows identical up to write policy share one cache state, so
+// each such group replays once through a multi-lane FusedCacheSimulator.
+// `rows[i]` is row i's single-level config, or nullptr when the row cannot
+// be fused.  Groups come out in cache-state order.
+std::vector<std::vector<size_t>> FusedGroups(const std::vector<const CacheConfig*>& rows) {
+  std::map<std::tuple<uint64_t, uint32_t, int, bool>, std::vector<size_t>> by_cache;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (const CacheConfig* c = rows[i]) {
+      by_cache[{c->size_bytes, c->block_size, static_cast<int>(c->replacement),
+                c->simulate_execve_pagein}]
+          .push_back(i);
     }
-  };
-  if (threads <= 1) {
-    worker();
-    return;
   }
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) {
-    pool.emplace_back(worker);
+  std::vector<std::vector<size_t>> groups;
+  groups.reserve(by_cache.size());
+  for (auto& [key, members] : by_cache) {
+    groups.push_back(std::move(members));
   }
-  for (std::thread& t : pool) {
-    t.join();
+  return groups;
+}
+
+// Replays one fused group: one lane per member, lane j's metrics to
+// members[j].
+std::vector<CacheMetrics> ReplayFused(const ReplayLog& log,
+                                      const std::vector<const CacheConfig*>& rows,
+                                      const std::vector<size_t>& members) {
+  std::vector<FusedCacheSimulator::PolicyLane> lanes;
+  lanes.reserve(members.size());
+  for (const size_t i : members) {
+    lanes.push_back({rows[i]->policy, rows[i]->flush_interval});
   }
+  FusedCacheSimulator sim(*rows[members.front()], lanes);
+  sim.Replay(log);
+  std::vector<CacheMetrics> out;
+  out.reserve(members.size());
+  for (size_t j = 0; j < members.size(); ++j) {
+    out.push_back(sim.LaneMetrics(j));
+  }
+  return out;
 }
 
 uint64_t BlocksFor(uint64_t size_bytes, uint32_t block_size) {
@@ -208,30 +222,16 @@ PlannedSweep RunPlannedSweep(const ReplayLog& log, const std::vector<CacheConfig
   // Partition by shared cache state: configs that differ only in write
   // policy replay once, fused.  Metadata configs fall back (the fused cache
   // cannot share i-node dirtiness across policies).
-  struct FusedGroup {
-    std::vector<size_t> members;  // config indices, <= 8 (lane-mask width)
-  };
-  std::map<std::tuple<uint64_t, uint32_t, int, bool>, std::vector<size_t>> by_cache;
+  std::vector<const CacheConfig*> single_level(configs.size(), nullptr);
   std::vector<size_t> fallbacks;
   for (size_t i = 0; i < configs.size(); ++i) {
-    const CacheConfig& c = configs[i];
-    if (c.simulate_metadata) {
+    if (configs[i].simulate_metadata) {
       fallbacks.push_back(i);
-      continue;
-    }
-    by_cache[{c.size_bytes, c.block_size, static_cast<int>(c.replacement),
-              c.simulate_execve_pagein}]
-        .push_back(i);
-  }
-  std::vector<FusedGroup> fused_groups;
-  for (auto& [key, members] : by_cache) {
-    for (size_t at = 0; at < members.size(); at += 8) {
-      FusedGroup g;
-      g.members.assign(members.begin() + static_cast<ptrdiff_t>(at),
-                       members.begin() + static_cast<ptrdiff_t>(std::min(at + 8, members.size())));
-      fused_groups.push_back(std::move(g));
+    } else {
+      single_level[i] = &configs[i];
     }
   }
+  const std::vector<std::vector<size_t>> fused_groups = FusedGroups(single_level);
 
   // One Mattson pass per (block size, page-in) family of LRU configs: the
   // whole size axis of that family from a single pass.
@@ -266,10 +266,7 @@ PlannedSweep RunPlannedSweep(const ReplayLog& log, const std::vector<CacheConfig
       StackDistanceAnalyzer::Options opt;
       opt.simulate_execve_pagein = group.pagein;
       StackDistanceAnalyzer analyzer(group.block_size, opt);
-      analyzer.SetExtentFeeds(group.pagein ? log.transfer_extents_pagein().data()
-                                           : log.transfer_extents().data(),
-                              log.execve_extents().data());
-      log.ReplayDataEventsInto(analyzer);
+      analyzer.Replay(log);
       SweepCurve& curve = result.curves[g];
       curve.block_size = group.block_size;
       curve.simulate_execve_pagein = group.pagein;
@@ -290,24 +287,12 @@ PlannedSweep RunPlannedSweep(const ReplayLog& log, const std::vector<CacheConfig
       }
     });
   }
-  for (const FusedGroup& group : fused_groups) {
-    work.push_back([&, &members = group.members]() {
-      CacheConfig base = configs[members.front()];
-      std::vector<FusedCacheSimulator::PolicyLane> lanes;
-      lanes.reserve(members.size());
-      for (const size_t i : members) {
-        lanes.push_back({configs[i].policy, configs[i].flush_interval});
-      }
-      FusedCacheSimulator sim(base, lanes);
-      sim.SetExtentFeeds(base.simulate_execve_pagein
-                             ? log.transfer_extents_pagein().data()
-                             : log.transfer_extents().data(),
-                         log.execve_extents().data());
-      sim.ReserveFiles(log.distinct_files());
-      log.ReplayDataEventsInto(sim);
-      sim.Finish();
+  for (size_t g = 0; g < fused_groups.size(); ++g) {
+    work.push_back([&, g]() {
+      const std::vector<size_t>& members = fused_groups[g];
+      const std::vector<CacheMetrics> lanes = ReplayFused(log, single_level, members);
       for (size_t j = 0; j < members.size(); ++j) {
-        result.points[members[j]].metrics = sim.LaneMetrics(j);
+        result.points[members[j]].metrics = lanes[j];
       }
     });
   }
@@ -346,7 +331,9 @@ bool CacheMetricsBitIdentical(const CacheMetrics& a, const CacheMetrics& b) {
          a.residency_over_20min == b.residency_over_20min &&
          a.residency_samples == b.residency_samples &&
          a.residency_seconds.sum() == b.residency_seconds.sum() &&
-         a.residency_seconds.variance() == b.residency_seconds.variance();
+         a.residency_seconds.variance() == b.residency_seconds.variance() &&
+         a.residency_seconds.min() == b.residency_seconds.min() &&
+         a.residency_seconds.max() == b.residency_seconds.max();
 }
 
 std::vector<HierarchyConfig> HierarchySweepConfigs() {
@@ -397,30 +384,16 @@ HierarchySweepResult RunHierarchySweep(const ReplayLog& log,
 
   // Client-0 rows are single-level server replays: fuse rows sharing server
   // cache state into multi-lane simulators, exactly like RunPlannedSweep.
-  std::map<std::tuple<uint64_t, uint32_t, int, bool>, std::vector<size_t>> by_server;
+  std::vector<const CacheConfig*> single_level(configs.size(), nullptr);
   std::vector<size_t> hierarchy_rows;
   for (size_t i = 0; i < configs.size(); ++i) {
-    const HierarchyConfig& h = configs[i];
-    if (h.has_clients()) {
+    if (configs[i].has_clients()) {
       hierarchy_rows.push_back(i);
     } else {
-      by_server[{h.server.size_bytes, h.server.block_size,
-                 static_cast<int>(h.server.replacement), h.server.simulate_execve_pagein}]
-          .push_back(i);
+      single_level[i] = &configs[i].server;
     }
   }
-  struct FusedGroup {
-    std::vector<size_t> members;
-  };
-  std::vector<FusedGroup> fused_groups;
-  for (auto& [key, members] : by_server) {
-    for (size_t at = 0; at < members.size(); at += 8) {
-      FusedGroup g;
-      g.members.assign(members.begin() + static_cast<ptrdiff_t>(at),
-                       members.begin() + static_cast<ptrdiff_t>(std::min(at + 8, members.size())));
-      fused_groups.push_back(std::move(g));
-    }
-  }
+  const std::vector<std::vector<size_t>> fused_groups = FusedGroups(single_level);
   result.fused_replays = fused_groups.size();
   result.hierarchy_replays = hierarchy_rows.size();
 
@@ -438,32 +411,19 @@ HierarchySweepResult RunHierarchySweep(const ReplayLog& log,
   }
   for (size_t g = 0; g < fused_groups.size(); ++g) {
     work.push_back([&, g]() {
-      const std::vector<size_t>& members = fused_groups[g].members;
-      CacheConfig base = configs[members.front()].server;
-      std::vector<FusedCacheSimulator::PolicyLane> lanes;
-      lanes.reserve(members.size());
-      for (const size_t i : members) {
-        lanes.push_back({configs[i].server.policy, configs[i].server.flush_interval});
-      }
-      FusedCacheSimulator sim(base, lanes);
-      sim.SetExtentFeeds(base.simulate_execve_pagein
-                             ? log.transfer_extents_pagein().data()
-                             : log.transfer_extents().data(),
-                         log.execve_extents().data());
-      sim.ReserveFiles(log.distinct_files());
-      log.ReplayDataEventsInto(sim);
-      sim.Finish();
+      const std::vector<size_t>& members = fused_groups[g];
+      const std::vector<CacheMetrics> lanes = ReplayFused(log, single_level, members);
       for (size_t j = 0; j < members.size(); ++j) {
         HierarchyMetrics& m = result.points[members[j]].metrics;
         m.client_count = 0;
-        m.server = sim.LaneMetrics(j);
+        m.server = lanes[j];
       }
     });
     work.push_back([&, g]() {
       // Cross-engine gate: the degenerate hierarchy must reproduce the
       // fused lane bit-for-bit.  Runs as its own work item so it overlaps
       // the fused replay; the comparison happens after the join.
-      const size_t i = fused_groups[g].members.front();
+      const size_t i = fused_groups[g].front();
       const HierarchyMetrics check = SimulateHierarchy(log, configs[i]);
       group_parity[g] = static_cast<uint8_t>(check.client_count == 0 ? 1 : 0);
       parity_metrics[g] = check.server;
@@ -472,7 +432,7 @@ HierarchySweepResult RunHierarchySweep(const ReplayLog& log,
   RunWorkItems(work, threads);
 
   for (size_t g = 0; g < fused_groups.size(); ++g) {
-    const size_t i = fused_groups[g].members.front();
+    const size_t i = fused_groups[g].front();
     if (group_parity[g] == 0 ||
         !CacheMetricsBitIdentical(parity_metrics[g], result.points[i].metrics.server)) {
       result.parity = false;

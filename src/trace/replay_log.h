@@ -114,9 +114,9 @@ class ReplayLog {
   // trailing seek record restores the final clock value (end-of-trace
   // residency censoring).
   //
-  // Bit-identical to ReplayInto for CacheSimulator sinks with
-  // simulate_metadata off (the replay parity test pins this); metadata
-  // simulation reads open/close records and must use ReplayInto.
+  // Bit-identical to ReplayInto for data-block cache sinks (the replay
+  // parity test pins this against CacheSimulator); metadata simulation
+  // reads open/close records and must use ReplayInto.
   template <typename Sink>
   void ReplayDataEventsInto(Sink& sink) const {
     for (const ReplayEvent& e : data_events_) {
@@ -157,9 +157,6 @@ class ReplayLog {
     }
   }
 
-  // Virtual-dispatch convenience for heterogeneous sinks.
-  void Replay(ReconstructionSink* sink) const { ReplayInto(*sink); }
-
   BillingPolicy billing() const { return billing_; }
   size_t event_count() const { return events_.size(); }
   // Events streamed by ReplayDataEventsInto (including the synthetic clock
@@ -182,11 +179,11 @@ class ReplayLog {
   // accessed file, precomputed per transfer (and per nonempty execve) in
   // stream order.  The trajectory is configuration-independent except for
   // execve page-in reads, which extend extents only when simulated — hence
-  // two transfer feeds.  A replaying simulator consumes these sequentially
-  // instead of maintaining its own extent table (CacheSimulator::
-  // SetExtentFeeds); both ReplayInto and ReplayDataEventsInto deliver
-  // transfers and nonempty execves in identical order, so one feed serves
-  // both.
+  // two transfer feeds.  A replaying engine consumes these sequentially
+  // instead of maintaining its own extent table (the cache layer's replay
+  // front end, cache_level.h); both ReplayInto and ReplayDataEventsInto
+  // deliver transfers and nonempty execves in identical order, so one feed
+  // serves both.
   const std::vector<uint64_t>& transfer_extents() const { return transfer_extents_; }
   const std::vector<uint64_t>& transfer_extents_pagein() const {
     return transfer_extents_pagein_;

@@ -71,8 +71,12 @@ TEST(ReplayParity, GeneratedA5Trace) {
 }
 
 // Hand-built trace exercising the invalidation and page-in paths: seeks,
-// truncates, unlinks, execve, read-write opens, and an orphan close.
-TEST(ReplayParity, HandBuiltEdgeCases) {
+// truncates, unlinks, execve, read-write opens, and an orphan close.  A
+// page-in of a never-read program, a 1 MB read that evicts it from the
+// small caches, then a partial write into it: the write's miss fetches only
+// under page-in (the engines must pick the matching extent feed).  A
+// zero-size execve owns no feed slot.
+Trace EdgeCaseTrace() {
   TraceBuilder b;
   b.WholeWrite(1.0, 2.0, 1, 10, 64 << 10);
   b.Open(3.0, 2, 10, 64 << 10, AccessMode::kReadWrite);
@@ -85,9 +89,112 @@ TEST(ReplayParity, HandBuiltEdgeCases) {
   b.Unlink(11.0, 10);
   b.Close(12.0, 99, 50, 100, 100);  // orphan close (never opened)
   b.WholeWrite(13.0, 14.0, 4, 12, 4 << 10);
+  b.Execve(15.0, 13, 16 << 10);
+  b.WholeRead(15.5, 15.6, 7, 14, 1 << 20);
+  b.Open(16.0, 6, 13, 16 << 10, AccessMode::kWriteOnly);
+  b.Close(17.0, 6, 13, 100, 16 << 10);
+  b.Execve(18.0, 12, 0);
   // Long idle gap so flush-back intervals elapse, then more traffic.
   b.WholeRead(700.0, 701.0, 5, 11, 24 << 10);
-  CheckAllConfigs(b.Build());
+  return b.Build();
+}
+
+std::vector<CacheConfig> AllFigureConfigs() {
+  std::vector<CacheConfig> configs = Fig5Configs();
+  for (const CacheConfig& c : Fig6Configs()) {
+    configs.push_back(c);
+  }
+  for (const CacheConfig& c : Fig7Configs()) {
+    configs.push_back(c);
+  }
+  return configs;
+}
+
+TEST(ReplayParity, HandBuiltEdgeCases) { CheckAllConfigs(EdgeCaseTrace()); }
+
+// Streams `log`'s data events into a front-end engine with a zero-length
+// transfer injected before every real one.  The reconstructor never emits
+// zero-length transfers, but the feed contract gives them a slot each: the
+// injected slots hold a huge extent, so an engine that skips a zero-length
+// transfer's slot hands later writes a wrong extent and fetches.
+template <typename Engine>
+void ReplayWithZeroLengthTransfers(const ReplayLog& log, bool pagein, Engine& engine) {
+  std::vector<uint64_t> feed;
+  for (const uint64_t extent :
+       pagein ? log.transfer_extents_pagein() : log.transfer_extents()) {
+    feed.push_back(UINT64_MAX / 2);
+    feed.push_back(extent);
+  }
+  engine.SetExtentFeeds(feed.data(), log.execve_extents().data());
+  struct Injector {
+    Engine& engine;
+    void OnTransferFrom(uint16_t instance, const Transfer& t) {
+      Transfer empty = t;
+      empty.length = 0;
+      engine.OnTransferFrom(instance, empty);
+      engine.OnTransferFrom(instance, t);
+    }
+    void OnRecordFrom(uint16_t instance, const TraceRecord& r) {
+      engine.OnRecordFrom(instance, r);
+    }
+  } injector{engine};
+  log.ReplayDataEventsWithInstancesInto(injector);
+  engine.Finish();
+}
+
+// Every feed-driven engine against the direct reference simulator on the
+// edge-case trace, both billing bounds: the single level, fused lanes, the
+// degenerate hierarchy and the Mattson fetch-miss column.
+TEST(ReplayParity, HandBuiltEdgeCasesEveryEngine) {
+  const Trace trace = EdgeCaseTrace();
+  const std::vector<FusedCacheSimulator::PolicyLane> lanes = {
+      {WritePolicy::kWriteThrough, Duration::Seconds(30)},
+      {WritePolicy::kFlushBack, Duration::Seconds(30)},
+      {WritePolicy::kFlushBack, Duration::Minutes(5)},
+      {WritePolicy::kDelayedWrite, Duration::Seconds(30)},
+  };
+  for (BillingPolicy billing : {BillingPolicy::kAtNextEvent, BillingPolicy::kAtPreviousEvent}) {
+    const ReplayLog log = ReplayLog::Build(trace, billing);
+    for (const CacheConfig& c : AllFigureConfigs()) {
+      const std::string label = c.ToString() + (billing == BillingPolicy::kAtNextEvent
+                                                    ? " / billed-at-next"
+                                                    : " / billed-at-previous");
+      const bool pagein = c.simulate_execve_pagein;
+      const CacheMetrics direct = SimulateCache(trace, c, billing);
+
+      CacheLevel<> level(c);
+      ReplayWithZeroLengthTransfers(log, pagein, level);
+      ExpectIdentical(direct, level.metrics(), label + " / level");
+
+      FusedCacheSimulator fused(c, lanes);
+      ReplayWithZeroLengthTransfers(log, pagein, fused);
+      for (size_t i = 0; i < lanes.size(); ++i) {
+        CacheConfig lane = c;
+        lane.policy = lanes[i].policy;
+        lane.flush_interval = lanes[i].flush_interval;
+        ExpectIdentical(SimulateCache(trace, lane, billing), fused.LaneMetrics(i),
+                        label + " / fused lane " + std::to_string(i));
+      }
+
+      HierarchyConfig h;
+      h.client.size_bytes = 0;
+      h.server = c;
+      HierarchySimulator hierarchy(h, log.instance_count());
+      ReplayWithZeroLengthTransfers(log, pagein, hierarchy);
+      const HierarchyMetrics levels = hierarchy.Collect();
+      EXPECT_EQ(levels.client_count, 0u) << label;
+      ExpectIdentical(direct, levels.server, label + " / hierarchy");
+
+      StackDistanceAnalyzer::Options options;
+      options.simulate_execve_pagein = pagein;
+      StackDistanceAnalyzer analyzer(c.block_size, options);
+      ReplayWithZeroLengthTransfers(log, pagein, analyzer);
+      const StackDistanceProfile profile = analyzer.Take();
+      EXPECT_EQ(profile.total_accesses(), direct.logical_accesses) << label << " / Mattson";
+      EXPECT_EQ(profile.FetchMissesAt(c.block_count()), direct.disk_reads)
+          << label << " / Mattson";
+    }
+  }
 }
 
 // With metadata simulation on, replay must also reproduce the i-node and

@@ -235,6 +235,33 @@ TEST(PlannedSweep, EmptyConfigList) {
   EXPECT_TRUE(RunPlannedSweep(SmallTrace(), {}).points.empty());
 }
 
+// The parity gates compare residency extremes too: the sample sets below
+// agree in count, sum and variance (their running means stay exact) and
+// differ only in max, then only in min.
+TEST(CacheMetricsBitIdentical, ResidencyExtremesCount) {
+  auto with_residency = [](std::initializer_list<double> samples) {
+    CacheMetrics m;
+    for (const double s : samples) {
+      m.residency_seconds.Add(s);
+    }
+    return m;
+  };
+  const CacheMetrics base = with_residency({0, 6, 3, 3});
+  const CacheMetrics lower_max = with_residency({5, 5, 2, 0});
+  const CacheMetrics higher_min = with_residency({1, 1, 4, 6});
+  for (const CacheMetrics* other : {&lower_max, &higher_min}) {
+    ASSERT_EQ(base.residency_seconds.count(), other->residency_seconds.count());
+    ASSERT_EQ(base.residency_seconds.sum(), other->residency_seconds.sum());
+    ASSERT_EQ(base.residency_seconds.variance(), other->residency_seconds.variance());
+    EXPECT_FALSE(CacheMetricsBitIdentical(base, *other));
+  }
+  EXPECT_NE(base.residency_seconds.max(), lower_max.residency_seconds.max());
+  EXPECT_EQ(base.residency_seconds.min(), lower_max.residency_seconds.min());
+  EXPECT_NE(base.residency_seconds.min(), higher_min.residency_seconds.min());
+  EXPECT_EQ(base.residency_seconds.max(), higher_min.residency_seconds.max());
+  EXPECT_TRUE(CacheMetricsBitIdentical(base, with_residency({0, 6, 3, 3})));
+}
+
 // Property tests on generated workloads (ISSUE 6 satellite): the planned
 // engine must match the replayed sweep on the paper's machine profiles and a
 // mixed fleet, serial and threaded.
