@@ -16,8 +16,8 @@
 // (per-machine population, 0 = calibrated), BSDTRACE_HOURS, BSDTRACE_SHARDS
 // (per machine), BSDTRACE_THREADS.
 //
-// RSS methodology as in bench_micro_generate: the generate phase runs first
-// on the fresh process; before the analyze phase VmHWM is re-armed via
+// RSS methodology: the generate phase runs first on the fresh process, so its
+// VmHWM is its own; before the analyze phase VmHWM is re-armed via
 // malloc_trim(0) + /proc/self/clear_refs.
 
 #include <algorithm>

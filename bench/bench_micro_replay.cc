@@ -51,7 +51,7 @@ int main() {
   GeneratorOptions options;
   options.duration = Duration::Hours(hours);
   options.seed = 19851201;
-  const Trace trace = GenerateTraceOnly(ProfileA5(), options);
+  const Trace trace = GenerateTrace(ProfileA5(), options).trace;
   const std::vector<CacheConfig> configs = Fig5Configs();
   std::printf("bench_micro_replay: %zu records, %zu configs, %.2f simulated hours\n",
               trace.size(), configs.size(), hours);

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
 
   GeneratorOptions options;
   options.duration = Duration::Hours(hours);
-  const Trace trace = GenerateTraceOnly(ProfileByName(name), options);
+  const Trace trace = GenerateTrace(ProfileByName(name), options).trace;
   AnalyzeOptions analyze_options;
   analyze_options.trace = &trace;
   const TraceAnalysis analysis = Analyze(analyze_options).value();

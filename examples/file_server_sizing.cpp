@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
 
   GeneratorOptions options;
   options.duration = Duration::Hours(hours);
-  const Trace trace = GenerateTraceOnly(ProfileA5(), options);
+  const Trace trace = GenerateTrace(ProfileA5(), options).trace;
 
   // Candidate server configurations.
   struct Candidate {

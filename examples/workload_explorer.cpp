@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
 
   GeneratorOptions options;
   options.duration = Duration::Hours(hours);
-  const Trace trace = GenerateTraceOnly(ProfileByName(name), options);
+  const Trace trace = GenerateTrace(ProfileByName(name), options).trace;
 
   // -- Busiest vs. quietest hour ------------------------------------------------
   // The simulation clock starts at 08:00, so hour index 6 is ~14:00 (the

@@ -49,8 +49,8 @@ StatusOr<TraceAnalysis> SegmentedAnalyze(const SeekableTraceSource& seekable,
 
 }  // namespace internal
 
-// Exact (bitwise) equality of two analyses — the parity check used by tests
-// and bench_micro_analyze.  Every scalar, counter, Welford accumulator, and
+// Exact (bitwise) equality of two analyses — the parity check the
+// ParallelAnalyzer tests use.  Every scalar, counter, Welford accumulator, and
 // CDF sample multiset must match exactly.  Execution metadata (mode, thread
 // and segment counts, band verdicts) is deliberately ignored: the guarantee
 // is that every engine computes the same statistics.

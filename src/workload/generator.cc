@@ -183,14 +183,14 @@ void ScheduleMailDelivery(GenState& gs, SimTime when, uint64_t rng_seed) {
   });
 }
 
-}  // namespace
-
-namespace internal {
-
 std::string TraceDescription(const MachineProfile& profile, const GeneratorOptions& options) {
   return "synthetic " + profile.trace_name + " trace, " + options.duration.ToString() +
          ", seed " + std::to_string(options.seed);
 }
+
+}  // namespace
+
+namespace internal {
 
 ShardPlan FullPlan(const MachineProfile& profile) {
   ShardPlan plan;
@@ -309,10 +309,6 @@ GenerationResult GenerateTrace(const MachineProfile& profile, const GeneratorOpt
   // every sharded/fleet path simulate the same resolved machine.
   const MachineProfile resolved = ApplyPopulationScale(profile);
   return internal::RunShard(resolved, options, internal::FullPlan(resolved));
-}
-
-Trace GenerateTraceOnly(const MachineProfile& profile, const GeneratorOptions& options) {
-  return GenerateTrace(profile, options).trace;
 }
 
 }  // namespace bsdtrace

@@ -49,24 +49,15 @@ struct GenerationResult {
 
 // Generates a trace for the given machine profile.  Deterministic for a
 // given (profile, options) pair.  This is the serial reference path: the
-// sharded engine (sharded_generator.h) must produce bit-identical output at
-// shards = 1.
+// sharded fleet engine (sharded_generator.h) must stream bit-identical
+// records for the one-machine fleet at one shard.
 GenerationResult GenerateTrace(const MachineProfile& profile,
                                const GeneratorOptions& options = GeneratorOptions());
 
-// Convenience: the trace alone.
-Trace GenerateTraceOnly(const MachineProfile& profile,
-                        const GeneratorOptions& options = GeneratorOptions());
-
 namespace internal {
 
-// The serial trace header description for a (profile, options) pair; the
-// sharded paths append their shard count to it.  One definition, so the
-// in-memory and spill-to-disk engines cannot drift apart on header bytes.
-std::string TraceDescription(const MachineProfile& profile, const GeneratorOptions& options);
-
 // One shard's slice of the simulated population.  GenerateTrace runs the
-// full plan; GenerateTraceSharded runs one plan per shard and merges.
+// full plan; the fleet engine runs one plan per shard and merges.
 struct ShardPlan {
   int shard_index = 0;
   int shard_count = 1;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <filesystem>
 #include <functional>
 #include <memory>
@@ -99,6 +98,7 @@ std::vector<std::pair<size_t, size_t>> PlanWaves(const std::vector<int>& populat
 
 }  // namespace internal
 
+
 namespace {
 
 namespace fs = std::filesystem;
@@ -107,17 +107,15 @@ using internal::FleetInstanceSeed;
 using internal::MakeShardPlans;
 using internal::RunShard;
 using internal::ShardPlan;
-using internal::TraceDescription;
 
-// One simulation the spill engine runs: a shard of some machine instance.
-// The single-machine path has one unit per shard of the one profile; the
-// fleet path concatenates every instance's shards in instance-major order
-// (which is also the merge tie-break order).
+// One simulation a fleet generation runs: a shard of some machine instance.
+// A fleet's units are every instance's shards in instance-major order, which
+// is also the merge tie-break order.
 struct SpillUnit {
   const MachineProfile* profile = nullptr;
-  GeneratorOptions options;  // per-instance seed for fleets
+  GeneratorOptions options;  // per-instance seed
   ShardPlan plan;
-  size_t machine = 0;  // instance index within the fleet (0 for single runs)
+  size_t machine = 0;  // instance index within the fleet
 };
 
 // Runs every unit on a small worker pool.  Workers claim unit indices from an
@@ -200,17 +198,8 @@ inline void RemapUnitRecord(TraceRecord& r, const UnitRemap& u) {
   }
 }
 
-void RemapShardIds(std::vector<TraceRecord>& records, FileId watermark, int shard_index,
-                   int shard_count) {
-  const uint64_t s = static_cast<uint64_t>(shard_index);
-  const uint64_t stride = static_cast<uint64_t>(shard_count);
-  for (TraceRecord& r : records) {
-    RemapRecordIds(r, watermark, s, stride);
-  }
-}
-
-// K-way merge of per-shard record streams, each already sorted by time.
-// Ties break by shard index, then by within-shard order — a stable merge, so
+// K-way merge of per-unit record streams, each already sorted by time.
+// Ties break by unit index, then by within-unit order — a stable merge, so
 // the output is independent of thread scheduling.
 std::vector<TraceRecord> MergeShardRecords(std::vector<GenerationResult>& shards) {
   size_t total = 0;
@@ -249,7 +238,7 @@ std::vector<TraceRecord> MergeShardRecords(std::vector<GenerationResult>& shards
   return merged;
 }
 
-void FoldInto(GenerationResult& total, GenerationResult& shard, size_t shard_index) {
+void FoldInto(ShardedStreamStats& total, const GenerationResult& shard, size_t shard_index) {
   KernelCounters& t = total.kernel_counters;
   const KernelCounters& k = shard.kernel_counters;
   t.opens += k.opens;
@@ -276,6 +265,10 @@ void FoldInto(GenerationResult& total, GenerationResult& shard, size_t shard_ind
   fst.live_bytes += fss.live_bytes;
   fst.allocated_bytes += fss.allocated_bytes;
   fst.free_bytes += fss.free_bytes;
+  fst.internal_fragmentation =
+      fst.allocated_bytes > 0 ? 1.0 - static_cast<double>(fst.live_bytes) /
+                                          static_cast<double>(fst.allocated_bytes)
+                              : 0.0;
 
   for (const std::string& error : shard.fsck.errors) {
     total.fsck.errors.push_back("shard " + std::to_string(shard_index) + ": " + error);
@@ -287,29 +280,31 @@ void FoldInto(GenerationResult& total, GenerationResult& shard, size_t shard_ind
   total.tasks_executed += shard.tasks_executed;
 }
 
-void FinishFragmentation(GenerationResult& result) {
-  const FsStatistics& fs_stats = result.fs_stats;
-  result.fs_stats.internal_fragmentation =
-      fs_stats.allocated_bytes > 0
-          ? 1.0 - static_cast<double>(fs_stats.live_bytes) /
-                      static_cast<double>(fs_stats.allocated_bytes)
-          : 0.0;
-}
-
-// The streamed trace's header: the serial description for one shard (so the
-// shards=1 contract against GenerateTrace holds byte-for-byte), the sharded
-// suffix otherwise — matching GenerateTraceSharded exactly.
-TraceHeader MergedHeader(const MachineProfile& profile, const GeneratorOptions& options,
-                         int shard_count) {
-  TraceHeader header{.machine = profile.machine,
-                     .description = TraceDescription(profile, options)};
-  if (shard_count > 1) {
-    header.description += ", " + std::to_string(shard_count) + " shards";
+// The step both engines run once their units have simulated: fill every
+// unit's remap watermark from its run, check that the replicas of one
+// machine instance agree on it, and fold the units' stats into `stats`.
+// Every replica of an instance builds the shared tree from the same
+// (profile, seed), so disagreement is a simulator bug — diagnosed, not
+// asserted.  Different instances legitimately differ.
+Status ResolveUnits(const std::vector<SpillUnit>& units,
+                    const std::vector<GenerationResult>& results,
+                    std::vector<UnitRemap>& remaps, ShardedStreamStats& stats) {
+  for (size_t k = 0; k < units.size(); ++k) {
+    remaps[k].watermark = results[k].shared_image_watermark;
+    for (size_t j = 0; j < k; ++j) {
+      if (units[j].machine == units[k].machine &&
+          results[j].shared_image_watermark != results[k].shared_image_watermark) {
+        return Status::Error("generate: shard watermarks disagree (simulator bug)");
+      }
+    }
+    FoldInto(stats, results[k], k);
   }
-  return header;
+  // A machine's watermark is meaningful fleet-wide only in a fleet of one.
+  stats.shared_image_watermark = remaps[0].machines == 1 ? remaps[0].watermark : 0;
+  return Status::Ok();
 }
 
-// Owns the private spill-file subdirectory; removes it (and anything left
+// Owns a private spill-file subdirectory; removes it (and anything left
 // inside) on destruction, so early error returns never leak spill files.
 class ScopedSpillDir {
  public:
@@ -358,49 +353,82 @@ class ScopedSpillDir {
   std::string dir_;
 };
 
-// Phase-1 output: per-unit spill files plus the folded non-trace stats.
-struct SpilledUnits {
-  ScopedSpillDir dir;
-  std::vector<uint64_t> unit_records;
-  std::vector<UnitRemap> remaps;  // filled in once watermarks are known
-  uint64_t total_records = 0;
-  uint64_t spill_bytes = 0;
-  GenerationResult stats;  // trace empty; counters/fsck/watermark folded
-  TraceHeader header;
+// A merged record source over files in a private spill directory.
+struct MergedStream {
+  ScopedSpillDir dir;  // declared first, so it outlives `source`
+  std::unique_ptr<MergingTraceSource> source;
+  uint64_t records = 0;  // records the source must deliver
 };
 
-// Phase 1 of the streaming engine: simulate all units on the pool, spilling
-// each unit's sorted records to its own file from inside the worker and
-// freeing them immediately — peak record memory is bounded by the `threads`
-// largest units, not the whole trace.  `remaps` carries every unit's rewrite
-// parameters except the watermark, which is only known after simulation and
-// is filled in here (with an every-replica-agrees consistency check per
-// machine instance).
-StatusOr<SpilledUnits> SpillAllUnits(const std::vector<SpillUnit>& units,
-                                     std::vector<UnitRemap> remaps, TraceHeader header,
-                                     int threads, const std::string& spill_dir) {
-  assert(units.size() == remaps.size());
-  SpilledUnits spilled;
-  spilled.header = std::move(header);
-  if (Status st = spilled.dir.Create(spill_dir); !st.ok()) {
+// The one drain: pulls every record of the merged stream into `sink`, and
+// fails if an input errs or the merge delivers other than the records
+// spilled.
+Status Drain(MergedStream& merged, TraceSink& sink) {
+  uint64_t streamed = 0;
+  TraceRecord r;
+  while (merged.source->Next(&r)) {
+    sink.Append(r);
+    ++streamed;
+  }
+  if (!merged.source->status().ok()) {
+    return merged.source->status();
+  }
+  if (streamed != merged.records) {
+    return Status::Error("merge produced " + std::to_string(streamed) + " of " +
+                         std::to_string(merged.records) + " expected records");
+  }
+  return Status::Ok();
+}
+
+// Drains the merged stream into a trace file at `path` with the exact record
+// count stamped in its header; returns the bytes written.
+StatusOr<uint64_t> DrainToFile(MergedStream& merged, const std::string& path,
+                               const TraceWriterOptions& options) {
+  TraceFileWriter writer(path, merged.source->header(), static_cast<int64_t>(merged.records),
+                         options);
+  if (!writer.status().ok()) {
+    return writer.status();
+  }
+  const Status drained = Drain(merged, writer);
+  const Status finished = writer.Finish();
+  if (!drained.ok()) {
+    return drained;
+  }
+  if (!finished.ok()) {
+    return finished;
+  }
+  return writer.bytes_written();
+}
+
+// Simulates `units` on the pool, spilling each unit's sorted records to its
+// own (v2) file from inside the worker and freeing them at once, so peak
+// record memory is bounded by the `threads` largest units, not the whole
+// trace.  Folds the units' stats into `stats` and returns the loser-tree
+// merge over the spill files, which remaps ids record by record as they are
+// pulled: one record per unit in memory.
+StatusOr<MergedStream> SpillUnits(const std::vector<SpillUnit>& units,
+                                  std::vector<UnitRemap> remaps, const TraceHeader& header,
+                                  const FleetGeneratorOptions& options,
+                                  ShardedStreamStats& stats) {
+  MergedStream merged;
+  if (Status st = merged.dir.Create(options.spill_dir); !st.ok()) {
     return st;
   }
 
   const size_t n = units.size();
-  std::vector<GenerationResult> slim(n);          // per-unit stats, records freed
+  std::vector<GenerationResult> slim(n);  // per-unit stats, records freed
   std::vector<Status> unit_status(n, Status::Ok());
   std::vector<uint64_t> unit_bytes(n, 0);
-  spilled.unit_records.assign(n, 0);
-
-  RunUnitsOnPool(units, threads, [&](size_t k, GenerationResult&& result) {
-    TraceFileWriter writer(spilled.dir.UnitPath(k), result.trace.header(),
+  std::vector<uint64_t> unit_records(n, 0);
+  RunUnitsOnPool(units, options.threads, [&](size_t k, GenerationResult&& result) {
+    TraceFileWriter writer(merged.dir.UnitPath(k), result.trace.header(),
                            static_cast<int64_t>(result.trace.size()));
     for (const TraceRecord& r : result.trace.records()) {
       writer.Append(r);
     }
     unit_status[k] = writer.Finish();
     unit_bytes[k] = writer.bytes_written();
-    spilled.unit_records[k] = writer.records_written();
+    unit_records[k] = writer.records_written();
     result.trace = Trace(result.trace.header());  // free the records now
     slim[k] = std::move(result);
   });
@@ -411,109 +439,23 @@ StatusOr<SpilledUnits> SpillAllUnits(const std::vector<SpillUnit>& units,
                            unit_status[k].message());
     }
   }
-
-  // Every replica of one machine instance builds the shared tree from the
-  // same (profile, seed), so its units' watermarks must agree; disagreement
-  // is a simulator bug, not an I/O condition, but the streaming path
-  // diagnoses rather than asserts.  Different instances legitimately differ.
-  for (size_t k = 0; k < n; ++k) {
-    remaps[k].watermark = slim[k].shared_image_watermark;
-    for (size_t j = 0; j < k; ++j) {
-      if (units[j].machine == units[k].machine &&
-          slim[j].shared_image_watermark != slim[k].shared_image_watermark) {
-        return Status::Error("spill: shard watermarks disagree (simulator bug)");
-      }
-    }
+  if (Status st = ResolveUnits(units, slim, remaps, stats); !st.ok()) {
+    return st;
   }
-  spilled.remaps = std::move(remaps);
-  // A single machine's watermark is meaningful fleet-wide only when there is
-  // a single machine.
-  const bool one_machine =
-      std::all_of(units.begin(), units.end(),
-                  [](const SpillUnit& u) { return u.machine == 0; });
-  spilled.stats.shared_image_watermark = one_machine ? slim[0].shared_image_watermark : 0;
-  for (size_t k = 0; k < n; ++k) {
-    FoldInto(spilled.stats, slim[k], k);
-    spilled.total_records += spilled.unit_records[k];
-    spilled.spill_bytes += unit_bytes[k];
-  }
-  FinishFragmentation(spilled.stats);
-  return spilled;
-}
 
-// Builds the single-machine unit list: one unit per shard of `profile`.
-std::vector<SpillUnit> SingleMachineUnits(const MachineProfile& profile,
-                                          const GeneratorOptions& options, int shard_count,
-                                          std::vector<UnitRemap>* remaps) {
-  const std::vector<ShardPlan> plans = MakeShardPlans(profile, shard_count);
-  std::vector<SpillUnit> units(plans.size());
-  remaps->assign(plans.size(), UnitRemap{});
-  for (size_t s = 0; s < plans.size(); ++s) {
-    units[s].profile = &profile;
-    units[s].options = options;
-    units[s].plan = plans[s];
-    units[s].machine = 0;
-    (*remaps)[s] = UnitRemap{.watermark = 0,  // filled in after simulation
-                             .shard = s,
-                             .stride = static_cast<uint64_t>(shard_count),
-                             .machine = 0,
-                             .machines = 1,
-                             .user_base = 0};
-  }
-  return units;
-}
-
-// Phase 2: loser-tree merge over the spill-file cursors, remapping ids
-// record-by-record as they are pulled.  One record per unit in memory.
-StatusOr<ShardedStreamStats> MergeSpills(SpilledUnits& spilled, TraceSink& sink) {
   std::vector<std::unique_ptr<TraceSource>> inputs;
-  inputs.reserve(spilled.unit_records.size());
-  for (size_t k = 0; k < spilled.unit_records.size(); ++k) {
-    inputs.push_back(std::make_unique<TraceFileSource>(spilled.dir.UnitPath(k)));
+  inputs.reserve(n);
+  for (size_t k = 0; k < n; ++k) {
+    inputs.push_back(std::make_unique<TraceFileSource>(merged.dir.UnitPath(k)));
+    merged.records += unit_records[k];
+    stats.spill_bytes_written += unit_bytes[k];
   }
-  const std::vector<UnitRemap>& remaps = spilled.remaps;
-  MergingTraceSource merge(std::move(inputs), spilled.header,
-                           [&remaps](size_t unit, TraceRecord& r) {
-                             RemapUnitRecord(r, remaps[unit]);
-                           });
-
-  uint64_t streamed = 0;
-  TraceRecord r;
-  while (merge.Next(&r)) {
-    sink.Append(r);
-    ++streamed;
-  }
-  if (!merge.status().ok()) {
-    return merge.status();
-  }
-  if (streamed != spilled.total_records) {
-    return Status::Error("spill merge produced " + std::to_string(streamed) + " of " +
-                         std::to_string(spilled.total_records) + " expected records");
-  }
-
-  ShardedStreamStats stats;
-  stats.header = spilled.header;
-  stats.kernel_counters = spilled.stats.kernel_counters;
-  stats.fs_stats = spilled.stats.fs_stats;
-  stats.fsck = std::move(spilled.stats.fsck);
-  stats.tasks_executed = spilled.stats.tasks_executed;
-  stats.shared_image_watermark = spilled.stats.shared_image_watermark;
-  stats.records_streamed = streamed;
-  stats.spill_bytes_written = spilled.spill_bytes;
-  return stats;
-}
-
-StatusOr<SpilledUnits> SpillShards(const MachineProfile& raw_profile,
-                                   const ShardedGeneratorOptions& options) {
-  const MachineProfile profile = ApplyPopulationScale(raw_profile);
-  const int population = std::max(profile.user_population, 1);
-  const int shard_count = std::clamp(options.shard_count, 1, population);
-  std::vector<UnitRemap> remaps;
-  const std::vector<SpillUnit> units =
-      SingleMachineUnits(profile, options.base, shard_count, &remaps);
-  return SpillAllUnits(units, std::move(remaps),
-                       MergedHeader(profile, options.base, shard_count), options.threads,
-                       options.spill_dir);
+  merged.source = std::make_unique<MergingTraceSource>(
+      std::move(inputs), header,
+      [remaps = std::move(remaps)](size_t unit, TraceRecord& r) {
+        RemapUnitRecord(r, remaps[unit]);
+      });
+  return merged;
 }
 
 // Fleet phase 0: resolve scaling, build every instance's shard units in
@@ -567,6 +509,85 @@ StatusOr<FleetPlan> PlanFleet(const FleetProfile& fleet, const FleetGeneratorOpt
   return fp;
 }
 
+// Fleet-of-fleets wave engine: each wave spills and merges its contiguous
+// instance range — with the GLOBAL remap parameters, so wave output is
+// exactly the corresponding slice of the single-wave stream — into a
+// compressed v4 wave file, and the returned stream k-way merges the wave
+// files.  That merge needs no rewrite (ids are already global), and its
+// (time, wave index) tie-break equals the single-wave (time, instance-major
+// unit index) tie-break because waves are contiguous instance ranges.  A
+// wave's unit spill files are deleted before the next wave simulates, so
+// peak disk is one wave's raw spills plus the compressed wave files.
+StatusOr<MergedStream> RunFleetWaves(const FleetPlan& fp,
+                                     const std::vector<std::pair<size_t, size_t>>& waves,
+                                     const FleetGeneratorOptions& options,
+                                     ShardedStreamStats& stats) {
+  MergedStream merged;
+  if (Status st = merged.dir.Create(options.spill_dir); !st.ok()) {
+    return st;
+  }
+  for (size_t w = 0; w < waves.size(); ++w) {
+    const auto [first, last] = waves[w];
+    std::vector<SpillUnit> wave_units;
+    std::vector<UnitRemap> wave_remaps;
+    for (size_t k = 0; k < fp.units.size(); ++k) {
+      if (fp.units[k].machine >= first && fp.units[k].machine < last) {
+        wave_units.push_back(fp.units[k]);
+        wave_remaps.push_back(fp.remaps[k]);
+      }
+    }
+    StatusOr<MergedStream> wave =
+        SpillUnits(wave_units, std::move(wave_remaps), fp.header, options, stats);
+    if (!wave.ok()) {
+      return wave.status();
+    }
+    StatusOr<uint64_t> bytes =
+        DrainToFile(wave.value(), merged.dir.UnitPath(w), TraceWriterOptions{.version = 4});
+    if (!bytes.ok()) {
+      return bytes.status();
+    }
+    stats.wave_bytes_written += bytes.value();
+    merged.records += wave.value().records;
+  }
+
+  std::vector<std::unique_ptr<TraceSource>> inputs;
+  inputs.reserve(waves.size());
+  for (size_t w = 0; w < waves.size(); ++w) {
+    inputs.push_back(std::make_unique<TraceFileSource>(merged.dir.UnitPath(w)));
+  }
+  merged.source = std::make_unique<MergingTraceSource>(std::move(inputs), fp.header);
+  return merged;
+}
+
+// Plans and simulates the fleet, folds its stats into `stats`, and opens the
+// one merged source every entry point drains: the unit spill files through
+// the id remap, or — when wave_users splits the fleet — the wave files.
+StatusOr<MergedStream> OpenFleetStream(const FleetProfile& fleet,
+                                       const FleetGeneratorOptions& options,
+                                       ShardedStreamStats& stats) {
+  StatusOr<FleetPlan> plan = PlanFleet(fleet, options);
+  if (!plan.ok()) {
+    return plan.status();
+  }
+  FleetPlan& fp = plan.value();
+  std::vector<int> populations;
+  populations.reserve(fp.machines.size());
+  for (const MachineProfile& machine : fp.machines) {
+    populations.push_back(machine.user_population);
+  }
+  const std::vector<std::pair<size_t, size_t>> waves =
+      internal::PlanWaves(populations, options.wave_users);
+  stats.header = fp.header;
+  stats.waves = waves.size();
+  StatusOr<MergedStream> merged =
+      waves.size() > 1 ? RunFleetWaves(fp, waves, options, stats)
+                       : SpillUnits(fp.units, std::move(fp.remaps), fp.header, options, stats);
+  if (merged.ok()) {
+    stats.records_streamed = merged.value().records;
+  }
+  return merged;
+}
+
 }  // namespace
 
 TraceHeader FleetTraceHeader(const FleetProfile& fleet, const FleetGeneratorOptions& options) {
@@ -580,264 +601,39 @@ TraceHeader FleetTraceHeader(const FleetProfile& fleet, const FleetGeneratorOpti
   return header;
 }
 
-GenerationResult GenerateTraceSharded(const MachineProfile& raw_profile,
-                                      const ShardedGeneratorOptions& options) {
-  const MachineProfile profile = ApplyPopulationScale(raw_profile);
-  const int population = std::max(profile.user_population, 1);
-  const int shard_count = std::clamp(options.shard_count, 1, population);
-  if (shard_count == 1) {
-    // The serial reference path, bit-identical to GenerateTrace().
-    return GenerateTrace(profile, options.base);
-  }
-
-  const std::vector<ShardPlan> plans = MakeShardPlans(profile, shard_count);
-  std::vector<SpillUnit> units(plans.size());
-  for (size_t s = 0; s < plans.size(); ++s) {
-    units[s].profile = &profile;
-    units[s].options = options.base;
-    units[s].plan = plans[s];
-  }
-  std::vector<GenerationResult> shards(static_cast<size_t>(shard_count));
-  RunUnitsOnPool(units, options.threads, [&shards](size_t s, GenerationResult&& result) {
-    shards[s] = std::move(result);
-  });
-
-  // Every replica builds the shared tree from the same (profile, seed), so
-  // the watermarks must agree.
-  const FileId watermark = shards[0].shared_image_watermark;
-  for (const GenerationResult& shard : shards) {
-    assert(shard.shared_image_watermark == watermark);
-    (void)shard;
-  }
-  for (size_t s = 0; s < shards.size(); ++s) {
-    RemapShardIds(shards[s].trace.records(), watermark, static_cast<int>(s), shard_count);
-  }
-
-  GenerationResult result;
-  result.shared_image_watermark = watermark;
-  Trace merged(MergedHeader(profile, options.base, shard_count));
-  merged.records() = MergeShardRecords(shards);
-  result.trace = std::move(merged);
-  for (size_t s = 0; s < shards.size(); ++s) {
-    FoldInto(result, shards[s], s);
-  }
-  FinishFragmentation(result);
-  return result;
-}
-
-StatusOr<ShardedStreamStats> GenerateTraceShardedTo(const MachineProfile& profile,
-                                                    const ShardedGeneratorOptions& options,
-                                                    TraceSink& sink) {
-  StatusOr<SpilledUnits> spilled = SpillShards(profile, options);
-  if (!spilled.ok()) {
-    return spilled.status();
-  }
-  return MergeSpills(spilled.value(), sink);
-}
-
-namespace {
-
-// Shared tail of the ToFile variants: stream the merged spills into a trace
-// file with the exact record count stamped in the header.  The default
-// options write format v3 — checksummed blocks plus the footer index — so
-// the result is directly consumable by the parallel Analyze engine; the bytes match
-// SaveTrace of the in-memory path's trace with the same options.  (The
-// per-unit spill files stay v2: they are private intermediates, merged and
-// deleted before anyone seeks into them.)
-StatusOr<ShardedStreamStats> MergeSpillsToFile(SpilledUnits& spilled, const std::string& path,
-                                               const TraceWriterOptions& file_options) {
-  TraceFileWriter writer(path, spilled.header,
-                         static_cast<int64_t>(spilled.total_records), file_options);
-  if (!writer.status().ok()) {
-    return writer.status();
-  }
-  StatusOr<ShardedStreamStats> stats = MergeSpills(spilled, writer);
-  const Status finish = writer.Finish();
-  if (!stats.ok()) {
-    return stats.status();
-  }
-  if (!finish.ok()) {
-    return finish;
-  }
-  return stats;
-}
-
-// Fold one wave's generation stats into the running fleet totals.
-void FoldWaveStats(ShardedStreamStats& total, GenerationResult& folded,
-                   const SpilledUnits& wave, size_t wave_index) {
-  GenerationResult wave_stats = wave.stats;
-  FoldInto(folded, wave_stats, wave_index);
-  total.spill_bytes_written += wave.spill_bytes;
-}
-
-// Fleet-of-fleets wave engine: each wave spills and merges its contiguous
-// instance range — with the GLOBAL remap parameters, so wave output is
-// exactly the corresponding slice of the single-wave stream — into a
-// compressed v4 wave shard file; the shards then k-way merge into the final
-// sink/file.  The wave shard merge needs no rewrite (ids are already
-// global), and its (time, wave index) tie-break equals the single-wave
-// (time, instance-major unit index) tie-break because waves are contiguous
-// instance ranges.  Per-unit spill files are deleted after each wave, so
-// peak disk is one wave's raw spills plus the compressed shards.
-StatusOr<ShardedStreamStats> RunFleetWaves(FleetPlan& fp,
-                                           const std::vector<std::pair<size_t, size_t>>& waves,
-                                           const FleetGeneratorOptions& options, TraceSink* sink,
-                                           const std::string* path) {
-  ScopedSpillDir wave_dir;
-  if (Status st = wave_dir.Create(options.spill_dir); !st.ok()) {
-    return st;
-  }
-
-  ShardedStreamStats total;
-  total.header = fp.header;
-  total.waves = waves.size();
-  GenerationResult folded;
-  uint64_t total_records = 0;
-  const TraceWriterOptions wave_options{.version = 4};
-
-  for (size_t w = 0; w < waves.size(); ++w) {
-    const auto [first, last] = waves[w];
-    std::vector<SpillUnit> wave_units;
-    std::vector<UnitRemap> wave_remaps;
-    for (size_t k = 0; k < fp.units.size(); ++k) {
-      if (fp.units[k].machine >= first && fp.units[k].machine < last) {
-        wave_units.push_back(fp.units[k]);
-        wave_remaps.push_back(fp.remaps[k]);
-      }
-    }
-    StatusOr<SpilledUnits> spilled = SpillAllUnits(wave_units, std::move(wave_remaps),
-                                                   fp.header, options.threads,
-                                                   options.spill_dir);
-    if (!spilled.ok()) {
-      return spilled.status();
-    }
-    TraceFileWriter writer(wave_dir.UnitPath(w), fp.header,
-                           static_cast<int64_t>(spilled.value().total_records), wave_options);
-    if (!writer.status().ok()) {
-      return writer.status();
-    }
-    StatusOr<ShardedStreamStats> merged = MergeSpills(spilled.value(), writer);
-    const Status finish = writer.Finish();
-    if (!merged.ok()) {
-      return merged.status();
-    }
-    if (!finish.ok()) {
-      return finish;
-    }
-    FoldWaveStats(total, folded, spilled.value(), w);
-    total.wave_bytes_written += writer.bytes_written();
-    total_records += spilled.value().total_records;
-    // spilled's ScopedSpillDir dies here: the wave's raw spill files go away
-    // before the next wave simulates.
-  }
-
-  FinishFragmentation(folded);
-  total.kernel_counters = folded.kernel_counters;
-  total.fs_stats = folded.fs_stats;
-  total.fsck = std::move(folded.fsck);
-  total.tasks_executed = folded.tasks_executed;
-  total.shared_image_watermark = 0;  // multi-wave implies multiple machines
-
-  std::vector<std::unique_ptr<TraceSource>> inputs;
-  inputs.reserve(waves.size());
-  for (size_t w = 0; w < waves.size(); ++w) {
-    inputs.push_back(std::make_unique<TraceFileSource>(wave_dir.UnitPath(w)));
-  }
-  MergingTraceSource merge(std::move(inputs), fp.header);
-
-  uint64_t streamed = 0;
-  Status write_status = Status::Ok();
-  if (path != nullptr) {
-    TraceFileWriter writer(*path, fp.header, static_cast<int64_t>(total_records),
-                           options.file_options);
-    if (!writer.status().ok()) {
-      return writer.status();
-    }
-    TraceRecord r;
-    while (merge.Next(&r)) {
-      writer.Append(r);
-      ++streamed;
-    }
-    write_status = writer.Finish();
-  } else {
-    TraceRecord r;
-    while (merge.Next(&r)) {
-      sink->Append(r);
-      ++streamed;
-    }
-  }
-  if (!merge.status().ok()) {
-    return merge.status();
-  }
-  if (!write_status.ok()) {
-    return write_status;
-  }
-  if (streamed != total_records) {
-    return Status::Error("wave merge produced " + std::to_string(streamed) + " of " +
-                         std::to_string(total_records) + " expected records");
-  }
-  total.records_streamed = streamed;
-  return total;
-}
-
-// Common fleet driver: plan once, pick single-wave (the historical path,
-// byte-for-byte) or the wave engine.
-StatusOr<ShardedStreamStats> GenerateFleetCommon(const FleetProfile& fleet,
-                                                 const FleetGeneratorOptions& options,
-                                                 TraceSink* sink, const std::string* path) {
-  StatusOr<FleetPlan> plan = PlanFleet(fleet, options);
-  if (!plan.ok()) {
-    return plan.status();
-  }
-  FleetPlan& fp = plan.value();
-  std::vector<int> populations;
-  populations.reserve(fp.machines.size());
-  for (const MachineProfile& machine : fp.machines) {
-    populations.push_back(machine.user_population);
-  }
-  const std::vector<std::pair<size_t, size_t>> waves =
-      internal::PlanWaves(populations, options.wave_users);
-  if (waves.size() > 1) {
-    return RunFleetWaves(fp, waves, options, sink, path);
-  }
-  StatusOr<SpilledUnits> spilled =
-      SpillAllUnits(fp.units, std::move(fp.remaps), std::move(fp.header), options.threads,
-                    options.spill_dir);
-  if (!spilled.ok()) {
-    return spilled.status();
-  }
-  return path != nullptr ? MergeSpillsToFile(spilled.value(), *path, options.file_options)
-                         : MergeSpills(spilled.value(), *sink);
-}
-
-}  // namespace
-
-StatusOr<ShardedStreamStats> GenerateTraceShardedToFile(const MachineProfile& profile,
-                                                        const ShardedGeneratorOptions& options,
-                                                        const std::string& path) {
-  StatusOr<SpilledUnits> spilled = SpillShards(profile, options);
-  if (!spilled.ok()) {
-    return spilled.status();
-  }
-  return MergeSpillsToFile(spilled.value(), path, options.file_options);
-}
-
 StatusOr<ShardedStreamStats> GenerateFleetTo(const FleetProfile& fleet,
                                              const FleetGeneratorOptions& options,
                                              TraceSink& sink) {
-  return GenerateFleetCommon(fleet, options, &sink, nullptr);
+  ShardedStreamStats stats;
+  StatusOr<MergedStream> merged = OpenFleetStream(fleet, options, stats);
+  if (!merged.ok()) {
+    return merged.status();
+  }
+  if (Status st = Drain(merged.value(), sink); !st.ok()) {
+    return st;
+  }
+  return stats;
 }
 
 StatusOr<ShardedStreamStats> GenerateFleetToFile(const FleetProfile& fleet,
                                                  const FleetGeneratorOptions& options,
                                                  const std::string& path) {
-  return GenerateFleetCommon(fleet, options, nullptr, &path);
+  ShardedStreamStats stats;
+  StatusOr<MergedStream> merged = OpenFleetStream(fleet, options, stats);
+  if (!merged.ok()) {
+    return merged.status();
+  }
+  if (StatusOr<uint64_t> bytes = DrainToFile(merged.value(), path, options.file_options);
+      !bytes.ok()) {
+    return bytes.status();
+  }
+  return stats;
 }
 
 StatusOr<FleetGenerationResult> GenerateFleetTrace(const FleetProfile& fleet,
                                                    const FleetGeneratorOptions& options) {
   FleetGenerationResult result;
-  StatusOr<ShardedStreamStats> stats = GenerateFleetCommon(fleet, options, &result.trace, nullptr);
+  StatusOr<ShardedStreamStats> stats = GenerateFleetTo(fleet, options, result.trace);
   if (!stats.ok()) {
     return stats.status();
   }
@@ -845,5 +641,37 @@ StatusOr<FleetGenerationResult> GenerateFleetTrace(const FleetProfile& fleet,
   result.trace.header() = result.stats.header;
   return result;
 }
+
+namespace internal {
+
+StatusOr<FleetGenerationResult> GenerateFleetInMemory(const FleetProfile& fleet,
+                                                      const FleetGeneratorOptions& options) {
+  StatusOr<FleetPlan> plan = PlanFleet(fleet, options);
+  if (!plan.ok()) {
+    return plan.status();
+  }
+  FleetPlan& fp = plan.value();
+  std::vector<GenerationResult> units(fp.units.size());
+  RunUnitsOnPool(fp.units, options.threads, [&units](size_t k, GenerationResult&& result) {
+    units[k] = std::move(result);
+  });
+
+  FleetGenerationResult result;
+  result.stats.header = fp.header;
+  if (Status st = ResolveUnits(fp.units, units, fp.remaps, result.stats); !st.ok()) {
+    return st;
+  }
+  for (size_t k = 0; k < units.size(); ++k) {
+    for (TraceRecord& r : units[k].trace.records()) {
+      RemapUnitRecord(r, fp.remaps[k]);
+    }
+  }
+  result.trace = Trace(fp.header);
+  result.trace.records() = MergeShardRecords(units);
+  result.stats.records_streamed = result.trace.size();
+  return result;
+}
+
+}  // namespace internal
 
 }  // namespace bsdtrace

@@ -1,21 +1,24 @@
-// Sharded parallel trace generation.
+// Sharded parallel fleet generation: the one sharded generation engine.
 //
-// Partitions the simulated population into deterministic shards — each with
-// its own FileSystem replica, TracedKernel, event scheduler, and an
-// independent counter-derived RNG stream of (seed, shard) — runs the shards
-// concurrently on a small thread pool, and k-way merges the per-shard traces
-// by timestamp with a stable shard-index tie-break.
+// Every sharded run is a fleet (fleet.h) of one or more machine instances; a
+// single machine is the fleet of one, ParseFleetSpec("A5").  Each instance's
+// population is partitioned into deterministic shards — each with its own
+// FileSystem replica, TracedKernel, event scheduler, and an independent
+// counter-derived RNG stream of (seed, shard) — the shards of every instance
+// run concurrently on a small thread pool, and the per-shard traces k-way
+// merge by timestamp with a stable instance-major shard-index tie-break.
 //
 // Determinism contract:
-//   * For a fixed (profile, options) — including shard_count — the merged
-//     output is byte-identical across runs and across `threads` values; the
-//     thread pool only changes wall-clock, never content.
-//   * With shard_count = 1 the result is bit-identical to GenerateTrace(),
-//     the serial reference path.
-//   * shard_count is a semantic parameter: different shard counts partition
-//     the users differently (users on different shards cannot share mail or
-//     file-system state), so traces for different shard counts are
-//     statistically equivalent, not byte-identical.
+//   * For a fixed (fleet, options) — including shards_per_machine — the
+//     merged output is byte-identical across runs and across `threads`
+//     values; the thread pool only changes wall-clock, never content.
+//   * A fleet of one machine at one shard streams exactly the records of
+//     GenerateTrace(), the serial reference path (the header differs: fleet
+//     headers carry the fleet tag).
+//   * shards_per_machine is a semantic parameter: different shard counts
+//     partition the users differently (users on different shards cannot
+//     share mail or file-system state), so traces for different shard counts
+//     are statistically equivalent, not byte-identical.
 //
 // Record identity across shards: FileIds at or below the shared-image
 // watermark refer to the shared system tree and agree in every replica;
@@ -39,32 +42,9 @@
 
 namespace bsdtrace {
 
-struct ShardedGeneratorOptions {
-  GeneratorOptions base;
-  // Number of population shards; clamped to [1, user_population].  1 selects
-  // the serial reference path.
-  int shard_count = 1;
-  // Worker threads; <= 0 means hardware concurrency.  Clamped to
-  // [1, shard_count].  Has no effect on output, only on wall-clock.
-  int threads = 0;
-  // Spill-to-disk streaming path only: directory for the per-shard spill
-  // files (must exist).  Empty selects the system temp directory.  Spill
-  // files live in a private subdirectory that is removed when generation
-  // finishes, successfully or not.
-  std::string spill_dir;
-  // Format of the file GenerateTraceShardedToFile writes: v3 (the default)
-  // keeps the historical bytes; {.version = 4} compresses block payloads.
-  TraceWriterOptions file_options{.version = 3};
-};
-
-// Generates a trace with the population split across shards.  See the
-// determinism contract above.
-GenerationResult GenerateTraceSharded(const MachineProfile& profile,
-                                      const ShardedGeneratorOptions& options);
-
 // -- Spill-to-disk streaming path ---------------------------------------------
 //
-// The streaming engine runs the same shards, but each worker spills its
+// The engine never holds the whole trace: each worker spills its
 // shard's time-sorted records through a block-buffered trace writer into a
 // temp file as soon as the shard finishes simulating and frees them — so at
 // most `threads` shards' records are ever in memory at once — and then an
@@ -75,17 +55,17 @@ GenerationResult GenerateTraceSharded(const MachineProfile& profile,
 // ever fitting in RAM.
 //
 // Determinism: the streamed record sequence — and, for the ToFile variant,
-// the file's bytes — is identical to the in-memory path's output for the
-// same (profile, options):
-//     GenerateTraceShardedToFile(p, o, f)  ==  SaveTrace(f, GenerateTraceSharded(p, o).trace,
-//                                                        TraceWriterOptions{.version = 3})
-// byte for byte, for every shard_count and threads value (pinned by
-// ShardedStream tests and the bench_micro_generate gate).  ToFile writes
-// trace format v3 (checksummed blocks + footer index) so the output feeds
-// the parallel Analyze engine directly; the v3 framing is a deterministic function
-// of the record stream, so byte-identity is preserved.
+// the file's bytes — is identical to the in-memory reference twin's output
+// for the same (fleet, options):
+//     GenerateFleetToFile(f, o, p)  ==  SaveTrace(p, GenerateFleetInMemory(f, o).trace,
+//                                                 o.file_options)
+// byte for byte, for every shard, thread and wave count (pinned by the
+// ShardedStream tests).  ToFile writes trace format v3 by default
+// (checksummed blocks + footer index) so the output feeds the parallel
+// Analyze engine directly; the v3 framing is a deterministic function of the
+// record stream, so byte-identity is preserved.
 
-// Everything GenerateTraceSharded reports except the record vector, plus
+// Everything a fleet generation reports except the record vector, plus
 // streaming bookkeeping.
 struct ShardedStreamStats {
   // Header of the streamed trace (the sink only sees records).
@@ -106,21 +86,6 @@ struct ShardedStreamStats {
   uint64_t wave_bytes_written = 0;
 };
 
-// Streams the merged trace into `sink` (which sees Append per record, in
-// time order).  Errors — unwritable spill directory, a spill file truncated
-// or corrupted between write and merge — surface as a clean Status.
-StatusOr<ShardedStreamStats> GenerateTraceShardedTo(const MachineProfile& profile,
-                                                    const ShardedGeneratorOptions& options,
-                                                    TraceSink& sink);
-
-// Streams the merged trace straight into a binary v3 trace file at `path`
-// (checksummed blocks + block index), with the exact record count stamped in
-// the header.  Byte-identical to saving the in-memory path's trace with the
-// same v3 options (see above).
-StatusOr<ShardedStreamStats> GenerateTraceShardedToFile(const MachineProfile& profile,
-                                                        const ShardedGeneratorOptions& options,
-                                                        const std::string& path);
-
 // -- Fleet generation ---------------------------------------------------------
 //
 // Runs every machine instance of a FleetProfile (e.g. 4xA5 + 2xE3 + 2xC4,
@@ -129,7 +94,7 @@ StatusOr<ShardedStreamStats> GenerateTraceShardedToFile(const MachineProfile& pr
 // into a single time-ordered v3 trace.  Identity invariants of the merged
 // trace:
 //   * FileIds/OpenIds: shard-local ids are first interleaved within their
-//     instance (exactly the single-machine remap above), then instance-local
+//     instance (the watermark remap above), then instance-local
 //     ids are interleaved across the M instances — id -> (id-1)*M + i + 1 —
 //     so no id is ever shared between instances (separate machines share no
 //     files; there is no cross-instance watermark).
@@ -139,9 +104,8 @@ StatusOr<ShardedStreamStats> GenerateTraceShardedToFile(const MachineProfile& pr
 //     so analyzers can attribute per-user activity back to machine profiles.
 //   * Time/tie order: records merge by (time, instance-major unit index), so
 //     for a fixed (fleet, options) the output is byte-identical across runs
-//     and thread counts.  A fleet of ONE machine reproduces the exact record
-//     stream of GenerateTraceSharded{,ToFile} with the same options (only
-//     the header differs: fleet headers carry the tag).
+//     and thread counts.  In a fleet of ONE machine both remaps beyond the
+//     watermark interleave are the identity.
 // Instances with the same profile are decorrelated by a per-instance seed
 // derived from options.base.seed (instance 0 keeps the base seed, which is
 // what makes the one-machine fleet reproduce the single-machine stream).
@@ -152,7 +116,9 @@ struct FleetGeneratorOptions {
   // Worker threads over ALL instances' shards; <= 0 means hardware
   // concurrency.  Output-invariant.
   int threads = 0;
-  // Spill directory, as in ShardedGeneratorOptions.
+  // Directory for the per-shard spill files (must exist).  Empty selects
+  // the system temp directory.  Spill files live in a private subdirectory
+  // that is removed when generation finishes, successfully or not.
   std::string spill_dir;
   // Fleet-of-fleets wave generation: when > 0, the instances are grouped
   // into contiguous waves whose summed (population-scaled) user counts stay
@@ -215,6 +181,15 @@ std::vector<ShardPlan> MakeShardPlans(const MachineProfile& profile, int shard_c
 // get an independent SplitMix64-derived stream so identical profiles in one
 // fleet do not replay identical traces.
 uint64_t FleetInstanceSeed(uint64_t seed, size_t instance);
+
+// The in-memory reference twin of the spill engine, kept on purpose: it runs
+// the same PlanFleet units, id remaps, header and watermark check, but merges
+// the units' records in memory instead of through spill and wave files —
+// the one part it exists to check.  wave_users is ignored (waving is
+// output-invariant) and no spill bytes are written; otherwise its trace and
+// stats equal GenerateFleetTrace's.
+StatusOr<FleetGenerationResult> GenerateFleetInMemory(const FleetProfile& fleet,
+                                                      const FleetGeneratorOptions& options);
 
 // Greedy contiguous wave grouping (exposed for tests): instance i joins the
 // current wave while the wave's summed population stays within

@@ -81,7 +81,7 @@ TEST(AnalyzeApi, IndexedFileReportsParallelAndMatchesSerial) {
   GeneratorOptions gen;
   gen.duration = Duration::Hours(4);
   gen.seed = 99;
-  const Trace trace = GenerateTraceOnly(ProfileA5(), gen);
+  const Trace trace = GenerateTrace(ProfileA5(), gen).trace;
   const std::string path = TempPath("analyze_api_parallel.trc");
   TraceWriterOptions writer;
   writer.version = 3;

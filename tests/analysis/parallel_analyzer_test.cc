@@ -3,6 +3,7 @@
 // Welford accumulator — for hand-built boundary-straddling traces and for
 // the three standard generated workloads at 1, 2, and 8 threads.
 
+#include <cstdio>
 #include <string>
 #include <utility>
 
@@ -12,7 +13,9 @@
 #include "src/analysis/parallel_analyzer.h"
 #include "src/trace/trace_io.h"
 #include "src/trace/trace_source.h"
+#include "src/workload/fleet.h"
 #include "src/workload/generator.h"
+#include "src/workload/sharded_generator.h"
 #include "tests/testing/temp_path.h"
 #include "tests/testing/trace_builder.h"
 
@@ -133,7 +136,7 @@ TEST_P(StandardWorkloadParity, BitIdenticalAcrossThreadCounts) {
   GeneratorOptions options;
   options.duration = Duration::Minutes(45);
   options.seed = 1985;
-  const Trace trace = GenerateTraceOnly(profile, options);
+  const Trace trace = GenerateTrace(profile, options).trace;
   const std::string path = TempPath(std::string("parallel_") + GetParam() + ".trc");
   // 16 KB blocks: plenty of segment boundaries without bloating the file.
   const TraceAnalysis serial = SaveAndAnalyzeSerial(trace, path, 16 * 1024);
@@ -144,6 +147,33 @@ TEST_P(StandardWorkloadParity, BitIdenticalAcrossThreadCounts) {
 
 INSTANTIATE_TEST_SUITE_P(Traces, StandardWorkloadParity,
                          ::testing::Values("A5", "E3", "C4"));
+
+// The six-hour A5 trace the fleet engine streams straight to a v3 file with
+// default blocks (8 shards, seed 19851201): parallel Analyze at 2, 4 and 8
+// threads is bit-identical to the serial pass over the same file.
+TEST(ParallelAnalyzer, SixHourStreamedFileParity) {
+  auto fleet = ParseFleetSpec("A5");
+  ASSERT_TRUE(fleet.ok()) << fleet.status().message();
+  FleetGeneratorOptions options;
+  options.base.duration = Duration::Hours(6);
+  options.base.seed = 19851201;
+  options.shards_per_machine = 8;
+  options.threads = 0;
+  const std::string path = TempPath("parallel_six_hour.trc");
+  auto generated = GenerateFleetToFile(fleet.value(), options, path);
+  ASSERT_TRUE(generated.ok()) << generated.status().message();
+
+  TraceFileSource source(path);
+  AnalyzeOptions serial_options;
+  serial_options.source = &source;
+  auto serial = Analyze(serial_options);
+  ASSERT_TRUE(serial.ok()) << serial.status().message();
+  EXPECT_EQ(serial.value().overall.total_records, generated.value().records_streamed);
+  for (unsigned threads : {2u, 4u, 8u}) {
+    ExpectParity(serial.value(), path, threads);
+  }
+  std::remove(path.c_str());
+}
 
 TEST(ParallelAnalyzer, V2FileFallsBackToSerial) {
   const Trace trace = StraddleTrace();

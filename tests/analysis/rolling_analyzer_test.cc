@@ -105,7 +105,7 @@ TEST_P(RollingWorkloadParity, HourlySnapshotsBitIdenticalToBatchPrefix) {
   GeneratorOptions options;
   options.duration = Duration::Hours(3);
   options.seed = 1985;
-  const Trace trace = GenerateTraceOnly(profile, options);
+  const Trace trace = GenerateTrace(profile, options).trace;
 
   const uint64_t snapshots = ExpectRollingMatchesBatch(trace, Duration::Hours(1));
   EXPECT_GE(snapshots, 2u) << "trace too short to cross two hourly boundaries";
@@ -121,7 +121,7 @@ TEST(RollingAnalyzer, RingFedStreamMatchesBatch) {
   GeneratorOptions options;
   options.duration = Duration::Hours(2);
   options.seed = 424242;
-  const Trace trace = GenerateTraceOnly(ProfileA5(), options);
+  const Trace trace = GenerateTrace(ProfileA5(), options).trace;
 
   TraceRingOptions ring_options;
   ring_options.capacity = 64;  // small: force producer/consumer interleaving
@@ -168,7 +168,7 @@ TEST(RollingAnalyzer, SnapshotCdfStateFollowsDistinctPairs) {
   GeneratorOptions options;
   options.duration = Duration::Hours(24);
   options.seed = 1985;
-  const Trace trace = GenerateTraceOnly(ProfileA5(), options);
+  const Trace trace = GenerateTrace(ProfileA5(), options).trace;
 
   uint64_t samples = 0;
   uint64_t stored = 0;
@@ -197,7 +197,7 @@ TEST(RollingAnalyzer, AnalyzeFrontDoorPublishesSnapshots) {
   GeneratorOptions options;
   options.duration = Duration::Hours(2);
   options.seed = 7;
-  const Trace trace = GenerateTraceOnly(ProfileE3(), options);
+  const Trace trace = GenerateTrace(ProfileE3(), options).trace;
 
   std::vector<PublishedSnapshot> published;
   AnalyzeOptions analyze_options;

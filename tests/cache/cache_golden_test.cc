@@ -83,12 +83,12 @@ Trace GoldenTrace(const char* profile) {
   options.duration = Duration::Minutes(30);
   options.seed = 19851201;
   if (std::string(profile) == "A5") {
-    return GenerateTraceOnly(ProfileA5(), options);
+    return GenerateTrace(ProfileA5(), options).trace;
   }
   if (std::string(profile) == "E3") {
-    return GenerateTraceOnly(ProfileE3(), options);
+    return GenerateTrace(ProfileE3(), options).trace;
   }
-  return GenerateTraceOnly(ProfileC4(), options);
+  return GenerateTrace(ProfileC4(), options).trace;
 }
 
 void ExpectGolden(const GoldenRow& row, const CacheMetrics& m) {

@@ -21,7 +21,7 @@ Trace GeneratedTrace(const char* profile, uint64_t seed) {
   GeneratorOptions options;
   options.duration = Duration::Minutes(20);
   options.seed = seed;
-  return GenerateTraceOnly(ProfileByName(profile), options);
+  return GenerateTrace(ProfileByName(profile), options).trace;
 }
 
 Trace SmallFleetTrace() {

@@ -67,7 +67,7 @@ TEST(ReplayParity, GeneratedA5Trace) {
   GeneratorOptions options;
   options.duration = Duration::Minutes(20);
   options.seed = 8551;
-  CheckAllConfigs(GenerateTraceOnly(ProfileA5(), options));
+  CheckAllConfigs(GenerateTrace(ProfileA5(), options).trace);
 }
 
 // Hand-built trace exercising the invalidation and page-in paths: seeks,
@@ -203,7 +203,7 @@ TEST(ReplayParity, MetadataSimulation) {
   GeneratorOptions options;
   options.duration = Duration::Minutes(10);
   options.seed = 8552;
-  const Trace trace = GenerateTraceOnly(ProfileA5(), options);
+  const Trace trace = GenerateTrace(ProfileA5(), options).trace;
   const ReplayLog log = ReplayLog::Build(trace);
   for (uint64_t size : {400ull << 10, 4ull << 20}) {
     CacheConfig c;
@@ -221,7 +221,7 @@ TEST(ReplayParity, SweepOverSharedLog) {
   GeneratorOptions options;
   options.duration = Duration::Minutes(10);
   options.seed = 8553;
-  const Trace trace = GenerateTraceOnly(ProfileA5(), options);
+  const Trace trace = GenerateTrace(ProfileA5(), options).trace;
   const ReplayLog log = ReplayLog::Build(trace);
   const auto from_trace = RunCacheSweep(trace, Fig5Configs(), 1);
   const auto from_log = RunCacheSweep(log, Fig5Configs(), 8);
@@ -239,7 +239,7 @@ TEST(ReplayParity, StreamingBuildMatchesInMemory) {
   GeneratorOptions options;
   options.duration = Duration::Minutes(10);
   options.seed = 8554;
-  const Trace trace = GenerateTraceOnly(ProfileA5(), options);
+  const Trace trace = GenerateTrace(ProfileA5(), options).trace;
   const ReplayLog direct = ReplayLog::Build(trace);
 
   const std::string path = TempPath("replay-parity-stream.trc");

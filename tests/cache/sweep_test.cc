@@ -271,7 +271,7 @@ TEST_P(PlannedSweepProfiles, MatchesReplayedSweepOnGeneratedTrace) {
   GeneratorOptions options;
   options.duration = Duration::Minutes(12);
   options.seed = 8806;
-  const Trace trace = GenerateTraceOnly(ProfileByName(GetParam()), options);
+  const Trace trace = GenerateTrace(ProfileByName(GetParam()), options).trace;
   for (const unsigned threads : {1u, 4u}) {
     ExpectPlannedMatchesReplayed(trace, AllFigureConfigs(), threads);
   }

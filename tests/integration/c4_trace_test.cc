@@ -17,8 +17,8 @@ class C4TraceTest : public ::testing::Test {
     GeneratorOptions options;
     options.duration = Duration::Hours(6);
     options.seed = 404;
-    c4_ = new TraceAnalysis(AnalyzeForTest(GenerateTraceOnly(ProfileC4(), options)));
-    a5_ = new TraceAnalysis(AnalyzeForTest(GenerateTraceOnly(ProfileA5(), options)));
+    c4_ = new TraceAnalysis(AnalyzeForTest(GenerateTrace(ProfileC4(), options).trace));
+    a5_ = new TraceAnalysis(AnalyzeForTest(GenerateTrace(ProfileA5(), options).trace));
   }
   static void TearDownTestSuite() {
     delete c4_;

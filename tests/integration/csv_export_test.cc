@@ -49,7 +49,7 @@ class CsvExportTest : public ::testing::Test {
     GeneratorOptions options;
     options.duration = Duration::Minutes(20);
     options.seed = 424242;
-    analysis_ = new TraceAnalysis(AnalyzeForTest(GenerateTraceOnly(ProfileA5(), options)));
+    analysis_ = new TraceAnalysis(AnalyzeForTest(GenerateTrace(ProfileA5(), options).trace));
   }
   static void TearDownTestSuite() {
     delete analysis_;

@@ -18,7 +18,7 @@ class SeedStability : public ::testing::TestWithParam<uint64_t> {
     GeneratorOptions options;
     options.duration = Duration::Hours(3);
     options.seed = GetParam();
-    const Trace trace = GenerateTraceOnly(ProfileA5(), options);
+    const Trace trace = GenerateTrace(ProfileA5(), options).trace;
     const ValidationResult v = ValidateTrace(trace);
     EXPECT_TRUE(v.ok()) << v.Summary();
     return AnalyzeForTest(trace);

@@ -124,7 +124,7 @@ TEST(TextTraceSource, ExportImportIsIdentityOnGeneratedTraces) {
     GeneratorOptions options;
     options.duration = Duration::Hours(0.05);
     options.seed = 20260809;
-    const Trace trace = GenerateTraceOnly(profile, options);
+    const Trace trace = GenerateTrace(profile, options).trace;
     ASSERT_GT(trace.size(), 0u);
 
     const std::string text = ExportText(trace);
@@ -348,7 +348,7 @@ TEST(ImportFuzz, MutatedInputsNeverCrashTheImporters) {
   GeneratorOptions options;
   options.duration = Duration::Hours(0.02);
   options.seed = 7;
-  const std::string text = ExportText(GenerateTraceOnly(ProfileA5(), options));
+  const std::string text = ExportText(GenerateTrace(ProfileA5(), options).trace);
 
   std::ifstream fixture_in(std::string(BSDTRACE_TEST_DATA_DIR) + "/sample.strace");
   ASSERT_TRUE(fixture_in.is_open());

@@ -9,6 +9,7 @@
 
 #include "gtest/gtest.h"
 #include "src/trace/validate.h"
+#include "src/workload/generator.h"
 #include "src/workload/profile.h"
 #include "src/workload/sharded_generator.h"
 
@@ -109,19 +110,20 @@ FleetGenerationResult GenerateFleet(const std::string& spec, int shards, int thr
   return std::move(result).value();
 }
 
-// A fleet of one machine reproduces the single-machine sharded record stream
-// exactly (the header differs: fleet headers carry the tag).
+// A fleet of one machine is the single-machine sharded run: the spill engine
+// streams the in-memory twin's records, and the header is the fleet header
+// (it carries the tag, unlike the serial one).
 TEST(FleetGenerate, OneMachineFleetMatchesShardedRecords) {
-  ShardedGeneratorOptions sharded;
-  sharded.base.duration = Duration::Minutes(40);
-  sharded.base.seed = 424242;
-  sharded.shard_count = 4;
-  sharded.threads = 2;
-  const GenerationResult single = GenerateTraceSharded(ProfileA5(), sharded);
+  auto a5 = ParseFleetSpec("A5");
+  ASSERT_TRUE(a5.ok()) << a5.status().message();
+  auto twin = internal::GenerateFleetInMemory(a5.value(), ShortFleetOptions(4, 2));
+  ASSERT_TRUE(twin.ok()) << twin.status().message();
+  const GenerationResult serial = GenerateTrace(ProfileA5(), ShortFleetOptions(4, 2).base);
 
   const FleetGenerationResult fleet = GenerateFleet("A5", /*shards=*/4, /*threads=*/2);
-  EXPECT_EQ(single.trace.records(), fleet.trace.records());
-  EXPECT_NE(single.trace.header().description, fleet.trace.header().description);
+  EXPECT_EQ(twin.value().trace.records(), fleet.trace.records());
+  EXPECT_FALSE(fleet.trace.empty());
+  EXPECT_NE(serial.trace.header().description, fleet.trace.header().description);
   EXPECT_EQ(ParseFleetTag(fleet.trace.header().description),
             (std::vector<FleetInstanceTag>{{"A5", 0, ProfileA5().user_population}}));
 }

@@ -24,7 +24,7 @@ TEST(Generator, ProducesNonEmptyValidTrace) {
 
 TEST(Generator, RecordsAreTimeSortedAndClipped) {
   const GeneratorOptions options = ShortRun();
-  const Trace trace = GenerateTraceOnly(ProfileA5(), options);
+  const Trace trace = GenerateTrace(ProfileA5(), options).trace;
   SimTime prev = SimTime::Origin();
   for (const TraceRecord& r : trace.records()) {
     EXPECT_GE(r.time, prev);
@@ -34,19 +34,19 @@ TEST(Generator, RecordsAreTimeSortedAndClipped) {
 }
 
 TEST(Generator, DeterministicForSeed) {
-  const Trace a = GenerateTraceOnly(ProfileA5(), ShortRun(1.0, 7));
-  const Trace b = GenerateTraceOnly(ProfileA5(), ShortRun(1.0, 7));
+  const Trace a = GenerateTrace(ProfileA5(), ShortRun(1.0, 7)).trace;
+  const Trace b = GenerateTrace(ProfileA5(), ShortRun(1.0, 7)).trace;
   EXPECT_EQ(a, b);
 }
 
 TEST(Generator, DifferentSeedsDiffer) {
-  const Trace a = GenerateTraceOnly(ProfileA5(), ShortRun(1.0, 7));
-  const Trace b = GenerateTraceOnly(ProfileA5(), ShortRun(1.0, 8));
+  const Trace a = GenerateTrace(ProfileA5(), ShortRun(1.0, 7)).trace;
+  const Trace b = GenerateTrace(ProfileA5(), ShortRun(1.0, 8)).trace;
   EXPECT_NE(a, b);
 }
 
 TEST(Generator, AllEventTypesPresent) {
-  const Trace trace = GenerateTraceOnly(ProfileA5(), ShortRun(4.0));
+  const Trace trace = GenerateTrace(ProfileA5(), ShortRun(4.0)).trace;
   uint64_t counts[8] = {};
   for (const TraceRecord& r : trace.records()) {
     counts[static_cast<size_t>(r.type)] += 1;
@@ -74,7 +74,7 @@ TEST(Generator, DaemonRewritesEveryPeriod) {
 }
 
 TEST(Generator, HeaderDescribesTrace) {
-  const Trace trace = GenerateTraceOnly(ProfileE3(), ShortRun(0.2));
+  const Trace trace = GenerateTrace(ProfileE3(), ShortRun(0.2)).trace;
   EXPECT_EQ(trace.header().machine, "ucbernie");
   EXPECT_NE(trace.header().description.find("E3"), std::string::npos);
 }
@@ -109,8 +109,8 @@ TEST(Generator, IntensityScalesActivity) {
   MachineProfile calm = ProfileA5();
   MachineProfile busy = ProfileA5();
   busy.intensity = 2.5;
-  const Trace a = GenerateTraceOnly(calm, ShortRun(2.0, 3));
-  const Trace b = GenerateTraceOnly(busy, ShortRun(2.0, 3));
+  const Trace a = GenerateTrace(calm, ShortRun(2.0, 3)).trace;
+  const Trace b = GenerateTrace(busy, ShortRun(2.0, 3)).trace;
   // Busier machine: clearly more records (not necessarily exactly 2.5x —
   // sessions saturate), and still a valid trace.
   EXPECT_GT(b.size(), a.size() * 3 / 2);

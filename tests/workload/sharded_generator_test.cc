@@ -4,10 +4,12 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "src/trace/validate.h"
+#include "src/workload/fleet.h"
 #include "src/workload/generator.h"
 #include "src/workload/profile.h"
 
@@ -22,22 +24,62 @@ GeneratorOptions ShortOptions() {
   return options;
 }
 
-GenerationResult Generate(int shards, int threads) {
-  ShardedGeneratorOptions options;
-  options.base = ShortOptions();
-  options.shard_count = shards;
+// The one-machine fleet through the spill engine: a single machine is
+// ParseFleetSpec("A5").
+FleetGenerationResult GenerateA5(const GeneratorOptions& base, int shards, int threads) {
+  auto fleet = ParseFleetSpec("A5");
+  EXPECT_TRUE(fleet.ok()) << fleet.status().message();
+  FleetGeneratorOptions options;
+  options.base = base;
+  options.shards_per_machine = shards;
   options.threads = threads;
-  return GenerateTraceSharded(ProfileA5(), options);
+  auto result = GenerateFleetTrace(fleet.value(), options);
+  EXPECT_TRUE(result.ok()) << result.status().message();
+  return std::move(result).value();
+}
+
+FleetGenerationResult Generate(int shards, int threads) {
+  return GenerateA5(ShortOptions(), shards, threads);
+}
+
+// The spill engine at one shard streams exactly the serial records and
+// reports the serial run's counters (only the header differs: fleet headers
+// carry the fleet tag).
+void ExpectOneShardMatchesSerial(const GeneratorOptions& base) {
+  const GenerationResult serial = GenerateTrace(ProfileA5(), base);
+  const FleetGenerationResult sharded = GenerateA5(base, /*shards=*/1, /*threads=*/1);
+  ASSERT_FALSE(serial.trace.empty());
+  EXPECT_EQ(serial.trace.records(), sharded.trace.records());
+  EXPECT_EQ(sharded.stats.records_streamed, serial.trace.size());
+  EXPECT_EQ(serial.tasks_executed, sharded.stats.tasks_executed);
+  const KernelCounters& s = serial.kernel_counters;
+  const KernelCounters& k = sharded.stats.kernel_counters;
+  EXPECT_EQ(s.opens, k.opens);
+  EXPECT_EQ(s.creates, k.creates);
+  EXPECT_EQ(s.closes, k.closes);
+  EXPECT_EQ(s.seeks, k.seeks);
+  EXPECT_EQ(s.reads, k.reads);
+  EXPECT_EQ(s.writes, k.writes);
+  EXPECT_EQ(s.unlinks, k.unlinks);
+  EXPECT_EQ(s.truncates, k.truncates);
+  EXPECT_EQ(s.execves, k.execves);
+  EXPECT_EQ(s.errors, k.errors);
+  EXPECT_EQ(s.bytes_read, k.bytes_read);
+  EXPECT_EQ(s.bytes_written, k.bytes_written);
+  EXPECT_EQ(serial.shared_image_watermark, sharded.stats.shared_image_watermark);
 }
 
 TEST(ShardedGenerator, OneShardIsBitIdenticalToSerial) {
-  const GenerationResult serial = GenerateTrace(ProfileA5(), ShortOptions());
-  const GenerationResult sharded = Generate(/*shards=*/1, /*threads=*/1);
-  EXPECT_EQ(serial.trace, sharded.trace);
-  EXPECT_EQ(serial.trace.header().description, sharded.trace.header().description);
-  EXPECT_EQ(serial.tasks_executed, sharded.tasks_executed);
-  EXPECT_EQ(serial.kernel_counters.opens, sharded.kernel_counters.opens);
-  EXPECT_EQ(serial.kernel_counters.bytes_read, sharded.kernel_counters.bytes_read);
+  ExpectOneShardMatchesSerial(ShortOptions());
+}
+
+// The same contract at the standard six-hour A5 settings used across the
+// docs (seed 19851201).
+TEST(ShardedGenerator, SixHourOneShardIsBitIdenticalToSerial) {
+  GeneratorOptions base;
+  base.duration = Duration::Hours(6);
+  base.seed = 19851201;
+  ExpectOneShardMatchesSerial(base);
 }
 
 // The core determinism contract: for a fixed shard count the generated
@@ -55,7 +97,7 @@ TEST(ShardedGenerator, DeterministicAcrossThreadCountsAndRuns) {
 }
 
 TEST(ShardedGenerator, MergedTraceIsTimeSortedAndValid) {
-  const GenerationResult result = Generate(/*shards=*/4, /*threads=*/2);
+  const FleetGenerationResult result = Generate(/*shards=*/4, /*threads=*/2);
   ASSERT_FALSE(result.trace.empty());
   const ValidationResult report = ValidateTrace(result.trace);
   EXPECT_TRUE(report.ok()) << report.Summary();
@@ -64,7 +106,7 @@ TEST(ShardedGenerator, MergedTraceIsTimeSortedAndValid) {
 // Remapped ids: every open gets a globally unique OpenId, and FileIds above
 // the shared-image watermark never collide across shards.
 TEST(ShardedGenerator, RemappedIdsAreUnique) {
-  const GenerationResult result = Generate(/*shards=*/4, /*threads=*/2);
+  const FleetGenerationResult result = Generate(/*shards=*/4, /*threads=*/2);
   std::set<OpenId> opens;
   for (const TraceRecord& r : result.trace.records()) {
     if (r.type == EventType::kOpen || r.type == EventType::kCreate) {
@@ -75,10 +117,10 @@ TEST(ShardedGenerator, RemappedIdsAreUnique) {
 }
 
 TEST(ShardedGenerator, ShardImagesStayConsistent) {
-  const GenerationResult result = Generate(/*shards=*/8, /*threads=*/2);
-  EXPECT_TRUE(result.fsck.ok()) << result.fsck.Summary();
-  EXPECT_GT(result.shared_image_watermark, 0u);
-  EXPECT_GT(result.tasks_executed, 0u);
+  const FleetGenerationResult result = Generate(/*shards=*/8, /*threads=*/2);
+  EXPECT_TRUE(result.stats.fsck.ok()) << result.stats.fsck.Summary();
+  EXPECT_GT(result.stats.shared_image_watermark, 0u);
+  EXPECT_GT(result.stats.tasks_executed, 0u);
 }
 
 // The documented ShardPlan partition invariants (sharded_generator.h): users
@@ -122,7 +164,7 @@ TEST(ShardPlan, PartitionInvariants) {
 // in the same regime as the serial run (not, say, doubled or halved).
 TEST(ShardedGenerator, ActivityComparableToSerial) {
   const GenerationResult serial = GenerateTrace(ProfileA5(), ShortOptions());
-  const GenerationResult sharded = Generate(/*shards=*/8, /*threads=*/2);
+  const FleetGenerationResult sharded = Generate(/*shards=*/8, /*threads=*/2);
   ASSERT_GT(serial.trace.size(), 0u);
   const double ratio = static_cast<double>(sharded.trace.size()) /
                        static_cast<double>(serial.trace.size());

@@ -1,6 +1,6 @@
-// Tests for the spill-to-disk streaming generation path
-// (GenerateTraceShardedTo / GenerateTraceShardedToFile) and its
-// byte-identical determinism contract against the in-memory path.
+// Tests for the spill-to-disk streaming fleet engine (GenerateFleetTo /
+// GenerateFleetToFile) and its byte-identical determinism contract against
+// the in-memory reference twin (internal::GenerateFleetInMemory).
 
 #include "src/workload/sharded_generator.h"
 
@@ -14,6 +14,7 @@
 #include "gtest/gtest.h"
 #include "src/trace/trace_io.h"
 #include "src/trace/trace_source.h"
+#include "src/workload/fleet.h"
 #include "src/workload/generator.h"
 #include "src/workload/profile.h"
 #include "tests/testing/temp_path.h"
@@ -30,12 +31,24 @@ GeneratorOptions ShortOptions() {
   return options;
 }
 
-ShardedGeneratorOptions StreamOptions(int shards, int threads) {
-  ShardedGeneratorOptions options;
+FleetGeneratorOptions StreamOptions(int shards, int threads) {
+  FleetGeneratorOptions options;
   options.base = ShortOptions();
-  options.shard_count = shards;
+  options.shards_per_machine = shards;
   options.threads = threads;
   return options;
+}
+
+FleetProfile Fleet(const std::string& spec, int users = 0) {
+  auto fleet = ParseFleetSpec(spec, users);
+  EXPECT_TRUE(fleet.ok()) << fleet.status().message();
+  return std::move(fleet).value();
+}
+
+FleetGenerationResult InMemory(const FleetProfile& fleet, const FleetGeneratorOptions& options) {
+  auto result = internal::GenerateFleetInMemory(fleet, options);
+  EXPECT_TRUE(result.ok()) << result.status().message();
+  return std::move(result).value();
 }
 
 std::string ReadFileBytes(const std::string& path) {
@@ -58,76 +71,136 @@ class ScopedPath {
   std::string path_;
 };
 
+// The bytes SaveTrace writes for the in-memory twin's trace with the options
+// the streaming engine writes its file with.
+std::string TwinFileBytes(const FleetGenerationResult& twin, const FleetGeneratorOptions& options,
+                          const std::string& stem) {
+  ScopedPath reference("ref-" + stem);
+  EXPECT_TRUE(SaveTrace(reference.get(), twin.trace, options.file_options).ok());
+  return ReadFileBytes(reference.get());
+}
+
+// Streams `fleet` to a file and expects it byte-for-byte equal to `expected`.
+void ExpectStreamedFile(const FleetProfile& fleet, const FleetGeneratorOptions& options,
+                        const std::string& expected, uint64_t records, const std::string& stem) {
+  ScopedPath streamed("stream-" + stem);
+  auto stats = GenerateFleetToFile(fleet, options, streamed.get());
+  ASSERT_TRUE(stats.ok()) << stats.status().message();
+  EXPECT_EQ(expected, ReadFileBytes(streamed.get())) << "streamed bytes differ at " << stem;
+  EXPECT_EQ(stats.value().records_streamed, records);
+}
+
 // The headline contract: the streamed file is byte-for-byte the file
-// SaveTrace writes for the in-memory path's trace (with the same v3 options
-// the streamer uses) — for every shard count (including the serial shards=1
-// path) and independent of the thread count.
+// SaveTrace writes for the in-memory twin's trace (with the same v3 options
+// the streamer uses) — for every shard count (including one shard) and
+// independent of the thread count; and likewise where the fleet remap is
+// more than the shard interleave: a multi-machine fleet (cross-instance id
+// interleave, per-instance user-id bases), in one wave and split into waves.
 TEST(ShardedStream, FileIsByteIdenticalToInMemoryPath) {
+  const FleetProfile a5 = Fleet("A5");
   for (int shards : {1, 2, 7}) {
-    const GenerationResult in_memory =
-        GenerateTraceSharded(ProfileA5(), StreamOptions(shards, /*threads=*/1));
-    ScopedPath reference("ref-" + std::to_string(shards));
-    ASSERT_TRUE(SaveTrace(reference.get(), in_memory.trace,
-                          TraceWriterOptions{.version = 3})
-                    .ok());
-    const std::string expected = ReadFileBytes(reference.get());
+    const FleetGenerationResult twin = InMemory(a5, StreamOptions(shards, /*threads=*/1));
+    const std::string expected =
+        TwinFileBytes(twin, StreamOptions(shards, 1), std::to_string(shards));
     ASSERT_FALSE(expected.empty());
 
     for (int threads : {1, 0}) {  // 0 = hardware concurrency
-      ScopedPath streamed("stream-" + std::to_string(shards) + "-" +
-                          std::to_string(threads));
-      auto stats = GenerateTraceShardedToFile(ProfileA5(), StreamOptions(shards, threads),
-                                              streamed.get());
-      ASSERT_TRUE(stats.ok()) << stats.status().message();
-      EXPECT_EQ(expected, ReadFileBytes(streamed.get()))
-          << "streamed bytes differ at shards=" << shards << " threads=" << threads;
-      EXPECT_EQ(stats.value().records_streamed, in_memory.trace.size());
+      ExpectStreamedFile(a5, StreamOptions(shards, threads), expected, twin.trace.size(),
+                         std::to_string(shards) + "-" + std::to_string(threads));
     }
   }
+
+  const FleetProfile fleet = Fleet("2xA5+C4", /*users=*/30);
+  FleetGeneratorOptions options = StreamOptions(/*shards=*/2, /*threads=*/2);
+  const FleetGenerationResult twin = InMemory(fleet, options);
+  const std::string expected = TwinFileBytes(twin, options, "fleet");
+  ASSERT_FALSE(twin.trace.empty());
+  ExpectStreamedFile(fleet, options, expected, twin.trace.size(), "fleet");
+
+  // 30 users per instance, bound 60: waves {A5, A5} and {C4}.
+  options.wave_users = 60;
+  ScopedPath waved("stream-fleet-waved");
+  auto stats = GenerateFleetToFile(fleet, options, waved.get());
+  ASSERT_TRUE(stats.ok()) << stats.status().message();
+  EXPECT_EQ(stats.value().waves, 2u);
+  EXPECT_EQ(expected, ReadFileBytes(waved.get())) << "waved bytes differ from the twin";
+  // Stats folded across waves are the twin's.
+  EXPECT_EQ(stats.value().records_streamed, twin.stats.records_streamed);
+  EXPECT_EQ(stats.value().tasks_executed, twin.stats.tasks_executed);
+  EXPECT_EQ(stats.value().kernel_counters.bytes_read, twin.stats.kernel_counters.bytes_read);
+  EXPECT_EQ(stats.value().fs_stats.files, twin.stats.fs_stats.files);
+  EXPECT_EQ(stats.value().shared_image_watermark, 0u);
+  EXPECT_EQ(twin.stats.shared_image_watermark, 0u);
 }
 
-// The stats the streaming path reports must match what the in-memory path
+// The standard six-hour A5 settings used across the docs (seed 19851201,
+// 8 shards): the streamed v3 file equals the twin's.
+TEST(ShardedStream, SixHourFileIsByteIdenticalToInMemoryPath) {
+  FleetGeneratorOptions options;
+  options.base.duration = Duration::Hours(6);
+  options.base.seed = 19851201;
+  options.shards_per_machine = 8;
+  options.threads = 0;
+  const FleetProfile a5 = Fleet("A5");
+  const FleetGenerationResult twin = InMemory(a5, options);
+  const std::string expected = TwinFileBytes(twin, options, "six-hour");
+  ASSERT_FALSE(expected.empty());
+  ExpectStreamedFile(a5, options, expected, twin.trace.size(), "six-hour");
+}
+
+// The stats the streaming path reports must match what the in-memory twin
 // computes — it is the same simulation, only the record routing differs.
 TEST(ShardedStream, StatsMatchInMemoryPath) {
   const int shards = 4;
-  const GenerationResult in_memory =
-      GenerateTraceSharded(ProfileA5(), StreamOptions(shards, /*threads=*/2));
+  const FleetProfile a5 = Fleet("A5");
+  const FleetGenerationResult in_memory = InMemory(a5, StreamOptions(shards, /*threads=*/2));
 
   Trace sink;
-  auto stats =
-      GenerateTraceShardedTo(ProfileA5(), StreamOptions(shards, /*threads=*/2), sink);
+  auto stats = GenerateFleetTo(a5, StreamOptions(shards, /*threads=*/2), sink);
   ASSERT_TRUE(stats.ok()) << stats.status().message();
 
   const ShardedStreamStats& s = stats.value();
   EXPECT_EQ(s.header, in_memory.trace.header());
+  EXPECT_EQ(s.header, in_memory.stats.header);
   EXPECT_EQ(s.records_streamed, in_memory.trace.size());
   EXPECT_EQ(sink.records(), in_memory.trace.records());
-  EXPECT_EQ(s.kernel_counters.opens, in_memory.kernel_counters.opens);
-  EXPECT_EQ(s.kernel_counters.bytes_read, in_memory.kernel_counters.bytes_read);
-  EXPECT_EQ(s.kernel_counters.bytes_written, in_memory.kernel_counters.bytes_written);
-  EXPECT_EQ(s.tasks_executed, in_memory.tasks_executed);
-  EXPECT_EQ(s.shared_image_watermark, in_memory.shared_image_watermark);
+  EXPECT_EQ(s.kernel_counters.opens, in_memory.stats.kernel_counters.opens);
+  EXPECT_EQ(s.kernel_counters.bytes_read, in_memory.stats.kernel_counters.bytes_read);
+  EXPECT_EQ(s.kernel_counters.bytes_written, in_memory.stats.kernel_counters.bytes_written);
+  EXPECT_EQ(s.tasks_executed, in_memory.stats.tasks_executed);
+  EXPECT_EQ(s.shared_image_watermark, in_memory.stats.shared_image_watermark);
+  EXPECT_GT(s.shared_image_watermark, 0u);
+  EXPECT_EQ(s.fs_stats.files, in_memory.stats.fs_stats.files);
+  EXPECT_EQ(s.fs_stats.internal_fragmentation, in_memory.stats.fs_stats.internal_fragmentation);
   EXPECT_TRUE(s.fsck.ok()) << s.fsck.Summary();
   // The spill files really were written (and were at least as large as the
   // records they carried — 4 bytes minimum each).
   EXPECT_GT(s.spill_bytes_written, s.records_streamed * 4);
+  EXPECT_EQ(in_memory.stats.spill_bytes_written, 0u);
 }
 
 // Spill files are transient: whatever happens, the private spill directory
-// is gone when generation returns.
+// is gone when generation returns — in one wave and across waves.
 TEST(ShardedStream, SpillDirectoryIsCleanedUp) {
   const fs::path spill_root = TempPath("stream-test-spillroot");
   fs::remove_all(spill_root);
   ASSERT_TRUE(fs::create_directories(spill_root));
 
-  ShardedGeneratorOptions options = StreamOptions(/*shards=*/3, /*threads=*/2);
+  FleetGeneratorOptions options = StreamOptions(/*shards=*/3, /*threads=*/2);
   options.spill_dir = spill_root.string();
   Trace sink;
-  auto stats = GenerateTraceShardedTo(ProfileA5(), options, sink);
+  auto stats = GenerateFleetTo(Fleet("A5"), options, sink);
   ASSERT_TRUE(stats.ok()) << stats.status().message();
-
   EXPECT_TRUE(fs::is_empty(spill_root))
       << "spill subdirectory leaked under " << spill_root;
+
+  options.wave_users = 1;  // every instance its own wave
+  Trace waved;
+  stats = GenerateFleetTo(Fleet("A5+E3", /*users=*/20), options, waved);
+  ASSERT_TRUE(stats.ok()) << stats.status().message();
+  EXPECT_EQ(stats.value().waves, 2u);
+  EXPECT_TRUE(fs::is_empty(spill_root))
+      << "wave subdirectory leaked under " << spill_root;
   fs::remove_all(spill_root);
 }
 
@@ -137,8 +210,7 @@ TEST(ShardedStream, SpillDirectoryIsCleanedUp) {
 // generator uses, through real files.
 TEST(ShardedStream, TruncatedSpillFileSurfacesDiagnosticError) {
   // Generate a small real trace to act as the spill file.
-  const GenerationResult result =
-      GenerateTraceSharded(ProfileA5(), StreamOptions(/*shards=*/1, /*threads=*/1));
+  const GenerationResult result = GenerateTrace(ProfileA5(), ShortOptions());
   ScopedPath spill("truncated-spill");
   ASSERT_TRUE(SaveTrace(spill.get(), result.trace).ok());
 
@@ -162,18 +234,25 @@ TEST(ShardedStream, TruncatedSpillFileSurfacesDiagnosticError) {
 
 // An unusable spill directory is a clean error, not a crash.
 TEST(ShardedStream, UnwritableSpillDirIsCleanError) {
-  ShardedGeneratorOptions options = StreamOptions(/*shards=*/2, /*threads=*/1);
+  FleetGeneratorOptions options = StreamOptions(/*shards=*/2, /*threads=*/1);
   // A *file* where the spill root should be: create_directories must fail.
   ScopedPath not_a_dir("not-a-dir");
   { std::ofstream out(not_a_dir.get()); out << "x"; }
   options.spill_dir = not_a_dir.get();
 
   Trace sink;
-  auto stats = GenerateTraceShardedTo(ProfileA5(), options, sink);
+  auto stats = GenerateFleetTo(Fleet("A5"), options, sink);
   EXPECT_FALSE(stats.ok());
   EXPECT_NE(stats.status().message().find("spill"), std::string::npos)
       << stats.status().message();
   EXPECT_TRUE(sink.empty());
+
+  ScopedPath out("unwritable-spill-out");
+  stats = GenerateFleetToFile(Fleet("A5"), options, out.get());
+  EXPECT_FALSE(stats.ok());
+  EXPECT_NE(stats.status().message().find("spill"), std::string::npos)
+      << stats.status().message();
+  EXPECT_FALSE(fs::exists(out.get()));
 }
 
 // The streamed record sequence feeds any TraceSink; an analyzer-style sink
@@ -196,8 +275,7 @@ TEST(ShardedStream, SinkSeesEveryRecordInTimeOrder) {
   };
 
   CountingSink sink;
-  auto stats =
-      GenerateTraceShardedTo(ProfileA5(), StreamOptions(/*shards=*/5, /*threads=*/2), sink);
+  auto stats = GenerateFleetTo(Fleet("A5"), StreamOptions(/*shards=*/5, /*threads=*/2), sink);
   ASSERT_TRUE(stats.ok()) << stats.status().message();
   EXPECT_EQ(sink.count(), stats.value().records_streamed);
   EXPECT_TRUE(sink.ordered());
