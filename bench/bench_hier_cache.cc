@@ -22,9 +22,9 @@
 #include <string>
 #include <vector>
 
-#include "bench/common.h"
 #include "src/cache/hierarchy.h"
 #include "src/cache/sweep.h"
+#include "src/core/experiments.h"
 #include "src/trace/replay_log.h"
 #include "src/workload/fleet.h"
 #include "src/workload/sharded_generator.h"
@@ -45,7 +45,12 @@ int main() {
   if (const char* env = std::getenv("BSDTRACE_HOURS")) {
     hours = std::max(0.01, std::atof(env));
   }
-  PrintBanner("client/server cache hierarchy sweep", "§7 (extension beyond the paper)");
+  std::printf("================================================================\n");
+  std::printf("bsdtrace bench: client/server cache hierarchy sweep\n");
+  std::printf("reproduces: §7 (extension beyond the paper) of Ousterhout et al., SOSP 1985\n");
+  std::printf("synthetic traces, %.1f simulated hours each (set BSDTRACE_HOURS to change)\n",
+              StandardDuration().hours());
+  std::printf("================================================================\n\n");
 
   auto fleet = ParseFleetSpec("fleet:2xA5+1xE3");
   if (!fleet.ok()) {
@@ -115,7 +120,14 @@ int main() {
   const HierarchySweepResult sweep = RunHierarchySweep(log, HierarchySweepConfigs());
   const double sweep_s = SecondsSince(sweep_start);
   std::fputs(RenderHierarchySweep(sweep).c_str(), stdout);
-  MaybeExportHierarchy("hier_sweep", sweep.points);
+  if (const char* dir = std::getenv("BSDTRACE_CSV_DIR")) {
+    const std::string path = std::string(dir) + "/hier_sweep.csv";
+    if (const Status st = ExportHierarchyCsv(path, sweep.points); st.ok()) {
+      std::printf("exported %s\n", path.c_str());
+    } else {
+      std::fprintf(stderr, "CSV export failed: %s\n", st.message().c_str());
+    }
+  }
 
   char json[640];
   std::snprintf(json, sizeof(json),

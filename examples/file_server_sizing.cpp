@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   for (const Candidate& c : candidates) {
     configs.push_back(c.config);
   }
-  const auto points = RunCacheSweep(trace, configs);
+  const auto points = RunCacheSweep(ReplayLog::Build(trace), configs);
 
   const uint64_t baseline = points[0].metrics.DiskIos();
   TextTable table({"Configuration", "Disk I/Os", "Miss ratio", "vs UNIX", "Crash exposure"});

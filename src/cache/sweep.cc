@@ -83,14 +83,6 @@ std::vector<SweepPoint> RunCacheSweep(const ReplayLog& log,
   return points;
 }
 
-std::vector<SweepPoint> RunCacheSweep(const Trace& trace, const std::vector<CacheConfig>& configs,
-                                      unsigned threads) {
-  if (configs.empty()) {
-    return {};
-  }
-  return RunCacheSweep(ReplayLog::Build(trace), configs, threads);
-}
-
 namespace {
 
 constexpr uint64_t kKb = 1024;
@@ -315,14 +307,6 @@ PlannedSweep RunPlannedSweep(const ReplayLog& log, const std::vector<CacheConfig
   return result;
 }
 
-PlannedSweep RunPlannedSweep(const Trace& trace, const std::vector<CacheConfig>& configs,
-                             std::vector<uint64_t> curve_sizes, unsigned threads) {
-  if (configs.empty()) {
-    return {};
-  }
-  return RunPlannedSweep(ReplayLog::Build(trace), configs, std::move(curve_sizes), threads);
-}
-
 bool CacheMetricsBitIdentical(const CacheMetrics& a, const CacheMetrics& b) {
   return a.logical_accesses == b.logical_accesses && a.read_accesses == b.read_accesses &&
          a.write_accesses == b.write_accesses && a.metadata_accesses == b.metadata_accesses &&
@@ -439,15 +423,6 @@ HierarchySweepResult RunHierarchySweep(const ReplayLog& log,
     }
   }
   return result;
-}
-
-HierarchySweepResult RunHierarchySweep(const Trace& trace,
-                                       const std::vector<HierarchyConfig>& configs,
-                                       unsigned threads) {
-  if (configs.empty()) {
-    return {};
-  }
-  return RunHierarchySweep(ReplayLog::Build(trace), configs, threads);
 }
 
 std::vector<CacheConfig> Fig7Configs() {

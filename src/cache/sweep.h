@@ -40,11 +40,6 @@ std::vector<SweepPoint> RunCacheSweep(const ReplayLog& log,
                                       const std::vector<CacheConfig>& configs,
                                       unsigned threads = 0);
 
-// Convenience: builds the ReplayLog (billed at next event, the paper's
-// convention) and sweeps it.
-std::vector<SweepPoint> RunCacheSweep(const Trace& trace, const std::vector<CacheConfig>& configs,
-                                      unsigned threads = 0);
-
 // Convenience builders for the paper's sweeps.
 //
 // Fig. 5 / Table VI: cache size x write policy at 4 KB blocks.
@@ -110,10 +105,6 @@ struct PlannedSweep {
 PlannedSweep RunPlannedSweep(const ReplayLog& log, const std::vector<CacheConfig>& configs,
                              std::vector<uint64_t> curve_sizes = {}, unsigned threads = 0);
 
-// Convenience: builds the ReplayLog (billed at next event) and plans it.
-PlannedSweep RunPlannedSweep(const Trace& trace, const std::vector<CacheConfig>& configs,
-                             std::vector<uint64_t> curve_sizes = {}, unsigned threads = 0);
-
 // --- Hierarchy sweeps (§7): client size x server size x write policy -------
 //
 // RunHierarchySweep extends the planner to two-level topologies
@@ -155,11 +146,6 @@ std::vector<HierarchyConfig> HierarchySweepConfigs();
 // Runs the hierarchy plan on a prebuilt log across `threads` workers
 // (0 = hardware concurrency).
 HierarchySweepResult RunHierarchySweep(const ReplayLog& log,
-                                       const std::vector<HierarchyConfig>& configs,
-                                       unsigned threads = 0);
-
-// Convenience: builds the ReplayLog (billed at next event) and runs it.
-HierarchySweepResult RunHierarchySweep(const Trace& trace,
                                        const std::vector<HierarchyConfig>& configs,
                                        unsigned threads = 0);
 

@@ -4,9 +4,13 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
+#include <future>
 #include <map>
 #include <sstream>
 
+#include "src/analysis/popularity.h"
+#include "src/analysis/working_set.h"
 #include "src/util/csv.h"
 #include "src/util/plot.h"
 #include "src/util/table.h"
@@ -106,8 +110,7 @@ StatusOr<TraceAnalysis> AnalyzeTraceFile(const std::string& path, unsigned threa
   return Analyze(options);
 }
 
-StandardSweeps RunStandardSweeps(const Trace& trace, unsigned threads) {
-  const ReplayLog log = ReplayLog::Build(trace);
+StandardSweeps RunStandardSweeps(const ReplayLog& log, unsigned threads) {
   StandardSweeps sweeps;
   auto take = [&sweeps](PlannedSweep&& planned, std::vector<SweepPoint>& points,
                         std::vector<SweepCurve>& curves) {
@@ -753,6 +756,211 @@ std::string RenderTable1(const TraceAnalysis& analysis, const std::vector<SweepP
 
 namespace {
 
+// The cache-size axis of the ablation and extension tables: the paper's
+// 390 KB "UNIX" point plus 1-16 MB.
+const std::vector<uint64_t>& AblationSizes() {
+  static const std::vector<uint64_t> sizes = {390ull << 10, 1ull << 20, 2ull << 20,
+                                              4ull << 20,   8ull << 20, 16ull << 20};
+  return sizes;
+}
+
+CacheConfig FlushBack30s(uint64_t size) {
+  CacheConfig c;
+  c.size_bytes = size;
+  c.policy = WritePolicy::kFlushBack;
+  c.flush_interval = Duration::Seconds(30);
+  return c;
+}
+
+}  // namespace
+
+std::string RenderReplacementAblation(const ReplayLog& log) {
+  std::vector<CacheConfig> configs;
+  for (const uint64_t size : AblationSizes()) {
+    for (ReplacementPolicy rp :
+         {ReplacementPolicy::kLru, ReplacementPolicy::kClock, ReplacementPolicy::kFifo}) {
+      CacheConfig c;
+      c.size_bytes = size;
+      c.policy = WritePolicy::kDelayedWrite;
+      c.replacement = rp;
+      configs.push_back(c);
+    }
+  }
+  const std::vector<SweepPoint> points = RunCacheSweep(log, configs);
+  TextTable table({"Cache Size", "LRU", "Clock", "FIFO"});
+  for (size_t i = 0; i < points.size(); i += 3) {
+    table.AddRow({FormatBytes(static_cast<double>(points[i].config.size_bytes)),
+                  FormatPercent(points[i].metrics.MissRatio()),
+                  FormatPercent(points[i + 1].metrics.MissRatio()),
+                  FormatPercent(points[i + 2].metrics.MissRatio())});
+  }
+  return table.Render("Miss ratio by replacement policy (delayed write, 4 KB blocks, A5 "
+                      "trace).") +
+         "\nExpected: LRU <= clock <= FIFO at every size; the gap shrinks as the cache\n"
+         "grows (replacement matters less when little is evicted).\n";
+}
+
+std::string RenderBillingAblation(const ReplayLog& at_next_event,
+                                  const ReplayLog& at_previous_event) {
+  TextTable table({"Cache Size", "Billed at next event (paper)", "Billed at previous event",
+                   "Delta"});
+  for (const uint64_t size : {390ull << 10, 1ull << 20, 4ull << 20, 16ull << 20}) {
+    const CacheConfig c = FlushBack30s(size);
+    const double upper = SimulateCache(at_next_event, c).MissRatio();
+    const double lower = SimulateCache(at_previous_event, c).MissRatio();
+    table.AddRow({FormatBytes(static_cast<double>(size)), FormatPercent(upper),
+                  FormatPercent(lower), FormatPercent(upper - lower)});
+  }
+  return table.Render("Miss ratio under the two billing bounds (30 s flush-back, 4 KB blocks, "
+                      "A5 trace).") +
+         "\nThe tracer's time bounds barely move cache results (paper: a few percent at\n"
+         "most), validating the no-read-write design.\n";
+}
+
+std::string RenderFlushAblation(const ReplayLog& log) {
+  TextTable table({"Policy", "Disk writes", "Miss ratio"});
+  auto add = [&](const std::string& label, const CacheConfig& c) {
+    const CacheMetrics m = SimulateCache(log, c);
+    table.AddRow({label, Cell(static_cast<int64_t>(m.disk_writes)),
+                  FormatPercent(m.MissRatio())});
+  };
+  CacheConfig c;
+  c.size_bytes = 4u << 20;
+  c.policy = WritePolicy::kWriteThrough;
+  add("write-through", c);
+  for (double seconds : {5.0, 15.0, 30.0, 60.0, 120.0, 300.0, 600.0, 1800.0}) {
+    c.policy = WritePolicy::kFlushBack;
+    c.flush_interval = Duration::Seconds(seconds);
+    add("flush-back " + Duration::Seconds(seconds).ToString(), c);
+  }
+  c.policy = WritePolicy::kDelayedWrite;
+  add("delayed-write", c);
+  return table.Render("Flush interval continuum (4 MB cache, 4 KB blocks, A5 trace).") +
+         "\nDisk writes fall monotonically with the interval: each extra second lets\n"
+         "more newly-written blocks die in the cache (Fig. 4's lifetime CDF).\n";
+}
+
+std::string RenderMetadataExtension(const ReplayLog& log) {
+  TextTable table({"Cache Size", "File-data I/Os", "With metadata", "Metadata access share",
+                   "Extra disk I/O"});
+  for (const uint64_t size : AblationSizes()) {
+    const CacheConfig base = FlushBack30s(size);
+    CacheConfig with = base;
+    with.simulate_metadata = true;
+    const CacheMetrics m0 = SimulateCache(log, base);
+    const CacheMetrics m1 = SimulateCache(log, with);
+    const double meta_share = m1.logical_accesses > 0
+                                  ? static_cast<double>(m1.metadata_accesses) /
+                                        static_cast<double>(m1.logical_accesses)
+                                  : 0;
+    const double extra = m0.DiskIos() > 0 ? static_cast<double>(m1.DiskIos()) /
+                                                    static_cast<double>(m0.DiskIos()) -
+                                                1.0
+                                          : 0;
+    table.AddRow({FormatBytes(static_cast<double>(size)),
+                  Cell(static_cast<int64_t>(m0.DiskIos())),
+                  Cell(static_cast<int64_t>(m1.DiskIos())), FormatPercent(meta_share, 0),
+                  FormatPercent(extra, 0)});
+  }
+  return table.Render("Effect of simulated i-node/directory accesses (30 s flush-back, 4 KB "
+                      "blocks, A5 trace).") +
+         "\nPaper §8: \"more than half of all disk block references could come from these\n"
+         "other accesses\", but \"there are indications that the other accesses can also\n"
+         "be handled efficiently by caching\" — visible here as a metadata access share\n"
+         "near 50% whose extra disk I/O shrinks rapidly with cache size.\n";
+}
+
+std::string RenderStackDistanceExtension(const ReplayLog& log,
+                                         const StackDistanceProfile& profile, bool* parity) {
+  const std::vector<uint64_t> sizes = SweepCurveSizes();
+  std::vector<CacheConfig> configs;
+  for (const uint64_t size : sizes) {
+    CacheConfig c;
+    c.size_bytes = size;
+    c.policy = WritePolicy::kDelayedWrite;
+    configs.push_back(c);
+  }
+  const std::vector<SweepPoint> simulated = RunCacheSweep(log, configs);
+  *parity = true;
+  TextTable table({"Cache Size", "One-pass fetch misses", "Fetch miss ratio", "All misses",
+                   "Simulator disk reads"});
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    const uint64_t blocks = configs[i].block_count();
+    *parity = *parity && profile.FetchMissesAt(blocks) == simulated[i].metrics.disk_reads;
+    table.AddRow({FormatBytes(static_cast<double>(sizes[i])),
+                  Cell(static_cast<int64_t>(profile.FetchMissesAt(blocks))),
+                  FormatPercent(profile.FetchMissRatioAt(blocks)),
+                  Cell(static_cast<int64_t>(profile.MissesAt(blocks))),
+                  Cell(static_cast<int64_t>(simulated[i].metrics.disk_reads))});
+  }
+  std::ostringstream out;
+  out << table.Render("Fetch misses: one-pass analysis vs. full simulation (4 KB blocks, "
+                      "delayed write, A5 trace).")
+      << "\none pass analyzed " << profile.total_accesses() << " block accesses ("
+      << profile.cold_misses()
+      << " cold) and produced the exact disk-read\n"
+         "column at every cache size; the \"all misses\" column additionally counts misses\n"
+         "that install without a fetch (whole-block or beyond-extent writes).  Unlinks,\n"
+         "truncations, and overwrites are true stack deletions, so the parity is\n"
+         "bit-for-bit even on write-heavy traces.\n";
+  return out.str();
+}
+
+std::string RenderPopularityExtension(const std::vector<NamedTrace>& traces) {
+  std::vector<std::string> header = {"Measure"};
+  std::vector<PopularityStats> stats;
+  for (const auto& [name, trace] : traces) {
+    header.push_back(name);
+    stats.push_back(AnalyzePopularity(*trace));
+  }
+  TextTable table(header);
+  auto row = [&](const std::string& label, auto&& fn) {
+    std::vector<std::string> cells = {label};
+    for (const PopularityStats& s : stats) {
+      cells.push_back(fn(s));
+    }
+    table.AddRow(std::move(cells));
+  };
+  row("Distinct files accessed",
+      [](const PopularityStats& s) { return Cell(static_cast<int64_t>(s.distinct_files)); });
+  row("Total accesses (opens + execs)",
+      [](const PopularityStats& s) { return Cell(static_cast<int64_t>(s.total_accesses)); });
+  row("Top 10 files' share of accesses",
+      [](const PopularityStats& s) { return FormatPercent(s.TopAccessShare(10), 0); });
+  row("Top 100 files' share of accesses",
+      [](const PopularityStats& s) { return FormatPercent(s.TopAccessShare(100), 0); });
+  row("Top 10 files' share of bytes",
+      [](const PopularityStats& s) { return FormatPercent(s.TopByteShare(10), 0); });
+  row("Files covering 50% of accesses", [](const PopularityStats& s) {
+    return Cell(static_cast<int64_t>(s.FilesForAccessFraction(0.5)));
+  });
+  row("Files covering 90% of accesses", [](const PopularityStats& s) {
+    return Cell(static_cast<int64_t>(s.FilesForAccessFraction(0.9)));
+  });
+  return table.Render("Access concentration across the three traces.") +
+         "\nA small core of shared files (status tables, configuration, administrative\n"
+         "databases, popular programs) dominates accesses — the locality behind the\n"
+         "cache results of §6.\n";
+}
+
+std::string RenderWorkingSetExtension(const Trace& trace) {
+  const std::vector<Duration> windows = {Duration::Seconds(10), Duration::Minutes(1),
+                                         Duration::Minutes(10), Duration::Hours(1),
+                                         Duration::Hours(6)};
+  const WorkingSetStats stats = AnalyzeWorkingSets(trace, windows, 4096);
+  TextTable table({"Window", "Avg working set", "Peak working set"});
+  for (const WorkingSetPoint& p : stats.points) {
+    table.AddRow({p.window.ToString(), FormatBytes(p.average_blocks * 4096),
+                  FormatBytes(static_cast<double>(p.peak_blocks) * 4096)});
+  }
+  return table.Render("File-data working sets (4 KB blocks, A5 trace).") +
+         "\nReading the table against Figure 5: a cache comparable to the 10-minute\n"
+         "working set already captures most reuse, which is why miss ratios flatten\n"
+         "in the multi-megabyte range.\n";
+}
+
+namespace {
+
 // One CSV: column 0 is x; per trace two columns (count-weighted, byte-ish
 // weighted fraction) unless `panel_b` is null.
 Status WriteCdfCsv(const std::string& path, const std::vector<double>& xs, double x_scale,
@@ -903,6 +1111,190 @@ Status ExportHierarchyCsv(const std::string& path, const std::vector<HierarchyPo
                   Cell(p.metrics.GlobalMissRatio(), 5)});
   }
   return Status::Ok();
+}
+
+
+namespace {
+
+constexpr char kRule[] = "================================================================\n";
+
+// With BSDTRACE_CSV_DIR set, the note for one finished export (after the
+// blank line that closes the section's body); a failure goes to stderr.
+std::string ExportNote(const std::string& what, const Status& st) {
+  if (!st.ok()) {
+    std::fprintf(stderr, "CSV export failed: %s\n", st.message().c_str());
+    return "";
+  }
+  return "exported " + what + "\n";
+}
+
+struct AnalyzedTrace {
+  GenerationResult generated;
+  TraceAnalysis analysis;
+};
+
+AnalyzedTrace GenerateAndAnalyze(const std::string& name) {
+  AnalyzedTrace t;
+  t.generated = GenerateStandardTrace(name);
+  AnalyzeOptions options;
+  options.trace = &t.generated.trace;
+  t.analysis = Analyze(options).value();
+  return t;
+}
+
+// One report section: its heading and the body printed under it.
+struct ReportSection {
+  const char* title;
+  const char* paper_ref;
+  std::function<std::string()> body;
+};
+
+}  // namespace
+
+bool WriteReport(std::FILE* out) {
+  const char* csv_env = std::getenv("BSDTRACE_CSV_DIR");
+  const std::string csv_dir = csv_env != nullptr ? csv_env : "";
+  std::fprintf(out, "%sbsdtrace report: the tables and figures of Ousterhout et al., SOSP 1985,\n"
+               "with three ablations and four extensions\n"
+               "synthetic traces, %.1f simulated hours each (set BSDTRACE_HOURS to change)\n%s",
+               kRule, StandardDuration().hours(), kRule);
+  std::fflush(out);
+
+  // The three machines are independent: E3 and C4 generate and analyze on
+  // their own threads while A5 does and then builds its replay log.
+  std::future<AnalyzedTrace> e3_future = std::async(std::launch::async, GenerateAndAnalyze, "E3");
+  std::future<AnalyzedTrace> c4_future = std::async(std::launch::async, GenerateAndAnalyze, "C4");
+  const AnalyzedTrace a5 = GenerateAndAnalyze("A5");
+  const ReplayLog log = ReplayLog::Build(a5.generated.trace);
+  const StandardSweeps sweeps = RunStandardSweeps(log);
+  const AnalyzedTrace e3 = e3_future.get();
+  const AnalyzedTrace c4 = c4_future.get();
+  const std::vector<NamedAnalysis> named = {
+      {"A5", &a5.analysis}, {"E3", &e3.analysis}, {"C4", &c4.analysis}};
+  std::fprintf(out, "generated %zu (A5) / %zu (E3) / %zu (C4) trace records\n",
+               a5.generated.trace.size(), e3.generated.trace.size(), c4.generated.trace.size());
+
+  // A §6 figure's CSV pair: its points, then its Mattson curves.
+  auto export_sweep = [&](const std::string& points_name, const std::vector<SweepPoint>& points,
+                          const std::string& curves_name,
+                          const std::vector<SweepCurve>& curves) -> std::string {
+    if (csv_dir.empty()) {
+      return "";
+    }
+    const std::string points_path = csv_dir + "/" + points_name + ".csv";
+    const std::string curves_path = csv_dir + "/" + curves_name + ".csv";
+    return "\n" + ExportNote(points_path, ExportSweepCsv(points_path, points)) +
+           ExportNote(curves_path, ExportCurveCsv(curves_path, curves));
+  };
+  bool stack_parity = false;
+  const std::vector<ReportSection> sections = {
+      {"Table I — selected results", "Table I",
+       [&] { return RenderTable1(a5.analysis, sweeps.fig5, sweeps.fig6) + "\n"; }},
+      {"Table III — overall statistics", "Table III and §3.1",
+       [&] { return RenderTable3(named) + "\n" + RenderEventIntervals(named) + "\n"; }},
+      {"Table IV — system activity", "Table IV (§5.1)",
+       [&] {
+         return RenderTable4(named) +
+                "\nPaper bands: ~300-600 bytes/s per active user over 10-minute intervals;\n"
+                "~1.4-1.8 KB/s over 10-second intervals with fewer concurrent users.\n";
+       }},
+      {"Table V — sequentiality", "Table V (§5.2)",
+       [&] {
+         return RenderTable5(named) +
+                "\nPaper bands: whole-file reads 63-70% of read-only accesses, whole-file\n"
+                "writes 81-85%, ~50% of bytes in whole-file transfers, >90% of accesses\n"
+                "sequential, read-write accesses mostly non-sequential (19-35%).\n";
+       }},
+      {"Figure 1 — sequential run lengths", "Figure 1 (§5.2)",
+       [&] {
+         return RenderFigure1(named) +
+                "\nPaper bands: 70-75% of runs under 4 KB (jumps at 1 KB and 4 KB from\n"
+                "user-level I/O buffer sizes); ~30% of bytes moved in runs of 25 KB+.\n";
+       }},
+      {"Figure 2 — dynamic file sizes", "Figure 2 (§5.2)",
+       [&] {
+         return RenderFigure2(named) +
+                "\nPaper bands: ~80% of accesses to files under 10 KB, but those carry only\n"
+                "~30% of the bytes; a few ~1 MB administrative files account for ~20% of\n"
+                "accesses via position-and-read.\n";
+       }},
+      {"Figure 3 — open durations", "Figure 3 (§5.2)",
+       [&] { return RenderFigure3(named) + "\n"; }},
+      {"Figure 4 — file lifetimes", "Figure 4 (§5.3)",
+       [&] {
+         std::string body =
+             RenderFigure4(named) +
+             "\nPaper bands: ~80% of new files dead within ~3 minutes; 30-40% of new\n"
+             "files live exactly ~180 s (network status daemons); 20-30% of new bytes\n"
+             "dead within 30 s and ~50% within 5 minutes.\n";
+         if (!csv_dir.empty()) {
+           body += "\n" + ExportNote("figure CSVs to " + csv_dir, ExportFigureCsvs(csv_dir, named));
+         }
+         return body;
+       }},
+      {"Figure 5 / Table VI — cache size and write policy", "Fig. 5, Table VI (§6.2)",
+       [&] {
+         return RenderFigure5Table6(sweeps.fig5) + "\n" +
+                RenderWriteLifetimeSidebar(sweeps.fig5) + "\n" +
+                RenderMissRatioCurves(sweeps.fig5_curves) + "\n" +
+                export_sweep("fig5_table6", sweeps.fig5, "fig5_curves", sweeps.fig5_curves);
+       }},
+      {"Figure 6 / Table VII — block size", "Fig. 6, Table VII (§6.3)",
+       [&] {
+         return RenderFigure6Table7(sweeps.fig6) +
+                "\nPaper bands: 8 KB blocks optimal for a 400 KB cache; 16 KB for 4 MB;\n"
+                "very large blocks turn back up when the cache has too few of them.\n" +
+                RenderMissRatioCurves(sweeps.fig6_curves) + "\n" +
+                export_sweep("fig6_table7", sweeps.fig6, "fig6_curves", sweeps.fig6_curves);
+       }},
+      {"Figure 7 — simulated program page-in", "Fig. 7 (§6.4)",
+       [&] {
+         return RenderFigure7(sweeps.fig7) + "\n" + RenderMissRatioCurves(sweeps.fig7_curves) +
+                "\n" + export_sweep("fig7_paging", sweeps.fig7, "fig7_curves", sweeps.fig7_curves);
+       }},
+      {"ablation — cache replacement policy", "§6.1 design choice (LRU)",
+       [&] { return RenderReplacementAblation(log); }},
+      // Billing moves the transfer timestamps, so the earlier bound needs its own log.
+      {"ablation — run billing time", "§3.1 timing imprecision / [13]",
+       [&] {
+         return RenderBillingAblation(
+             log, ReplayLog::Build(a5.generated.trace, BillingPolicy::kAtPreviousEvent));
+       }},
+      {"ablation — flush-back interval sweep", "§6.2 write policies",
+       [&] { return RenderFlushAblation(log); }},
+      {"extension — i-node and directory overhead", "§8 closing estimate",
+       [&] { return RenderMetadataExtension(log); }},
+      {"extension — one-pass stack-distance analysis", "Fig. 5 read-miss curve",
+       [&] {
+         return RenderStackDistanceExtension(log, sweeps.fig5_curves.front().profile,
+                                             &stack_parity);
+       }},
+      {"extension — file popularity", "Fig. 2 discussion (§5.2)",
+       [&] {
+         return RenderPopularityExtension({{"A5", &a5.generated.trace},
+                                           {"E3", &e3.generated.trace},
+                                           {"C4", &c4.generated.trace}});
+       }},
+      {"extension — working-set sizes", "§6.4 working-set argument",
+       [&] { return RenderWorkingSetExtension(a5.generated.trace); }},
+  };
+  // Two blank lines under each heading keep every body laid out as the
+  // per-figure reproductions always printed it.
+  for (size_t i = 0; i < sections.size(); ++i) {
+    const ReportSection& section = sections[i];
+    std::fprintf(out, "\n%s[%zu/%zu] %s\nreproduces: %s of Ousterhout et al., SOSP 1985\n%s\n\n",
+                 kRule, i + 1, sections.size(), section.title, section.paper_ref, kRule);
+    std::fputs(section.body().c_str(), out);
+    std::fflush(out);
+  }
+
+  if (!sweeps.parity) {
+    std::fprintf(stderr, "FAIL: a planned sweep's Mattson curve diverges from its replays\n");
+  }
+  if (!stack_parity) {
+    std::fprintf(stderr, "FAIL: one-pass fetch misses diverge from the simulator\n");
+  }
+  return sweeps.parity && stack_parity;
 }
 
 }  // namespace bsdtrace

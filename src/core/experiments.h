@@ -2,12 +2,14 @@
 // the cache sweeps, and render every table and figure of the paper in a
 // terminal-friendly form.
 //
-// This is the library's front door: each bench binary under bench/ is a thin
-// wrapper over one Render* function, and the examples compose these calls.
+// This is the library's front door: `trace_stream report` (WriteReport) runs
+// every Render* function below over one set of standard traces, and the
+// examples compose these calls.
 
 #ifndef BSDTRACE_SRC_CORE_EXPERIMENTS_H_
 #define BSDTRACE_SRC_CORE_EXPERIMENTS_H_
 
+#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -84,7 +86,7 @@ struct StandardSweeps {
   size_t fused_replays = 0;
   size_t replay_fallbacks = 0;
 };
-StandardSweeps RunStandardSweeps(const Trace& trace, unsigned threads = 0);
+StandardSweeps RunStandardSweeps(const ReplayLog& log, unsigned threads = 0);
 
 // -- Section 6 renderings -----------------------------------------------------
 
@@ -114,12 +116,50 @@ std::string RenderTable1(const TraceAnalysis& analysis,
                          const std::vector<SweepPoint>& fig5_points,
                          const std::vector<SweepPoint>& fig6_points);
 
+// -- Ablations and extensions ------------------------------------------------
+//
+// Each replays an A5 log (or reads a trace) and renders one table plus its
+// closing prose.
+
+// Miss ratio under LRU, clock and FIFO replacement (delayed write).
+std::string RenderReplacementAblation(const ReplayLog& log);
+// Miss ratio with transfers billed at the next event (the paper's bound) vs.
+// the previous event (§3.1 timing imprecision); one log per billing policy.
+std::string RenderBillingAblation(const ReplayLog& at_next_event,
+                                  const ReplayLog& at_previous_event);
+// Disk writes and miss ratio from write-through through flush-back
+// intervals to delayed write (§6.2).
+std::string RenderFlushAblation(const ReplayLog& log);
+// Disk I/O with and without simulated i-node/directory accesses (§8).
+std::string RenderMetadataExtension(const ReplayLog& log);
+// The one-pass fetch-miss column of `profile` (4 KB blocks, delayed write;
+// the Fig. 5 Mattson curve) against one simulator replay per
+// SweepCurveSizes() size.  *parity is set to whether every size agrees.
+std::string RenderStackDistanceExtension(const ReplayLog& log,
+                                         const StackDistanceProfile& profile, bool* parity);
+// Access concentration, one column per trace.
+using NamedTrace = std::pair<std::string, const Trace*>;
+std::string RenderPopularityExtension(const std::vector<NamedTrace>& traces);
+// Average and peak file-data working sets over 10 s to 6 h windows.
+std::string RenderWorkingSetExtension(const Trace& trace);
+
+// -- The reproduction report --------------------------------------------------
+
+// Generates A5, E3 and C4 once (GenerateStandardTrace: BSDTRACE_HOURS,
+// BSDTRACE_INTENSITY), analyzes each once, builds A5's replay logs once, and
+// writes every section to `out` in paper order: Tables I and III-V, Figures
+// 1-7 with Tables VI-VII, the three ablations and the four extensions.  With
+// BSDTRACE_CSV_DIR set, the figure and sweep series are exported there too.
+// Returns false when a planned-sweep parity flag or the one-pass stack-
+// distance check fails (the report is still written in full).
+bool WriteReport(std::FILE* out);
+
 // -- Machine-readable export --------------------------------------------------
 
 // Writes every figure's data series as CSV files under `dir`
 // (fig1_runs.csv, fig2_filesizes.csv, fig3_opentimes.csv, fig4_lifetimes.csv),
 // one row per x value with one column pair per trace.  The directory must
-// exist.  Benches call this when BSDTRACE_CSV_DIR is set.
+// exist.  The report calls this when BSDTRACE_CSV_DIR is set.
 Status ExportFigureCsvs(const std::string& dir, const std::vector<NamedAnalysis>& traces);
 // Writes a cache sweep as CSV (config axes + metrics), e.g. fig5.csv.
 Status ExportSweepCsv(const std::string& path, const std::vector<SweepPoint>& points);

@@ -239,7 +239,9 @@ const std::vector<SubcommandSpec>& Subcommands() {
        "write the accesses within [from_s, to_s) seconds, rebased to 0, as v4",
        {"compress"}},
       {"users", "<in.trc>", "count events per user", {}},
-      {"top", "<in.trc> [n=10]", "file popularity: top-n access share and coverage", {}},
+      {"top", "<in.trc> [n=10]", "file popularity: top-n access and byte shares, coverage",
+       {}},
+      {"report", "", "render every table, figure, ablation and extension of the paper", {}},
   };
   return *subs;
 }
@@ -526,26 +528,26 @@ int CmdAnalyze(int argc, const char* const* argv) {
   }
   const std::string path = positional[0];
   if (!opt.sweep.empty()) {
-    // The cache sweep replays reconstructed transfers, so it needs the
-    // records in memory (the §5 tables stream instead).
-    StatusOr<Trace> trace = LoadTrace(path);
-    if (!trace.ok()) {
+    // The cache sweep replays reconstructed transfers: the replay log is
+    // recorded straight from the file, so the records are never all in memory.
+    StatusOr<ReplayLog> log = ReplayLog::BuildFromFile(path);
+    if (!log.ok()) {
       std::fprintf(stderr, "cannot load %s: %s\n", path.c_str(),
-                   trace.status().message().c_str());
+                   log.status().message().c_str());
       return 1;
     }
     if (opt.sweep == "hier") {
       // §7: client size x server size x client write policy, client-0 rows
       // served by fused single-level replays with a cross-engine parity gate.
       const HierarchySweepResult result = RunHierarchySweep(
-          trace.value(), HierarchySweepConfigs(), static_cast<unsigned>(opt.threads));
+          log.value(), HierarchySweepConfigs(), static_cast<unsigned>(opt.threads));
       std::fputs(RenderHierarchySweep(result).c_str(), stdout);
       return result.parity ? 0 : 1;
     }
     const std::vector<CacheConfig> configs = opt.sweep == "fig5"   ? Fig5Configs()
                                              : opt.sweep == "fig6" ? Fig6Configs()
                                                                    : Fig7Configs();
-    const PlannedSweep planned = RunPlannedSweep(trace.value(), configs, {},
+    const PlannedSweep planned = RunPlannedSweep(log.value(), configs, {},
                                                  static_cast<unsigned>(opt.threads));
     if (opt.sweep == "fig5") {
       std::fputs(RenderFigure5Table6(planned.points).c_str(), stdout);
@@ -1000,11 +1002,27 @@ int CmdTop(int argc, const char* const* argv) {
               static_cast<unsigned long long>(stats.total_accesses));
   std::printf("top %llu files' access share: %s\n", static_cast<unsigned long long>(n),
               FormatPercent(stats.TopAccessShare(n), 0).c_str());
+  std::printf("top %llu files' byte share: %s\n", static_cast<unsigned long long>(n),
+              FormatPercent(stats.TopByteShare(n), 0).c_str());
   std::printf("files covering 50%% of accesses: %llu\n",
               static_cast<unsigned long long>(stats.FilesForAccessFraction(0.5)));
   std::printf("files covering 90%% of accesses: %llu\n",
               static_cast<unsigned long long>(stats.FilesForAccessFraction(0.9)));
   return 0;
+}
+
+// -- report -------------------------------------------------------------------
+
+// Takes no arguments: the standard traces' length, intensity and CSV
+// directory come from BSDTRACE_HOURS, BSDTRACE_INTENSITY and BSDTRACE_CSV_DIR.
+int CmdReport(int argc, const char* const* argv) {
+  CliOptions opt;
+  std::vector<std::string> positional;
+  if (int rc = 0; !ParseSubcommandArgs(*FindSubcommand("report"), argc, argv, 0, 0, &opt,
+                                       &positional, &rc)) {
+    return rc;
+  }
+  return WriteReport(stdout) ? 0 : 1;
 }
 
 // -- info ---------------------------------------------------------------------
@@ -1077,6 +1095,9 @@ int TraceStreamMain(int argc, const char* const* argv) {
   }
   if (std::strcmp(cmd, "serve") == 0) {
     return CmdServe(argc - 2, argv + 2);
+  }
+  if (std::strcmp(cmd, "report") == 0) {
+    return CmdReport(argc - 2, argv + 2);
   }
   if (argc < 3) {
     const SubcommandSpec* sub = FindSubcommand(cmd);

@@ -15,6 +15,7 @@
 //   trace_stream slice    <in.trc> <out.trc> <from_s> <to_s> [--compress=none|lz]
 //   trace_stream users    <in.trc>
 //   trace_stream top      <in.trc> [n]
+//   trace_stream report
 //
 // `import` converts a foreign text log — this tool's own bsdtxt export or a
 // raw `strace -f -ttt` syscall log — into a binary v4 trace, running the
@@ -23,7 +24,9 @@
 // renders a binary trace as bsdtxt; export | import is the identity.
 // `validate`, `slice`, `users` and `top` load the whole trace (any format
 // version, v1 through v4): the structural validator, a time-window cut
-// written as v4, per-user event counts, and file popularity.
+// written as v4, per-user event counts, and file popularity.  `report`
+// generates the three standard traces and prints every table, figure,
+// ablation and extension of the reproduction (experiments.h, WriteReport).
 //
 // `generate` accepts a machine profile name (A5/E3/C4) or a fleet spec
 // ("fleet:4xA5+2xE3+2xC4"; workload/fleet.h) and always generates through

@@ -1,6 +1,7 @@
 #include "src/trace/replay_log.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/trace/trace_source.h"
 #include "src/util/flat_map.h"
@@ -101,25 +102,9 @@ class RecordingSink : public ReconstructionSink {
 }  // namespace
 
 ReplayLog ReplayLog::Build(const Trace& trace, BillingPolicy billing) {
-  ReplayLog log;
-  log.billing_ = billing;
-  log.fleet_ = ParseFleetTag(trace.header().description);
-  const InstanceAttributor attributor(log.fleet_);
-  // Every record yields one record event; transfers add at most one more per
-  // seek/close, so 2x is a safe upper bound that avoids regrowth.
-  log.events_.reserve(trace.size() * 2);
-  RecordingSink sink(&log.events_, &attributor);
-  AccessReconstructor reconstructor(&sink, billing);
-  for (const TraceRecord& r : trace.records()) {
-    reconstructor.Process(r);
-  }
-  reconstructor.Finish();
-  log.events_.shrink_to_fit();
-  log.transfer_count_ = sink.transfer_count;
-  log.dangling_opens_ = reconstructor.dangling_opens();
-  log.orphan_events_ = reconstructor.orphan_events();
-  log.BuildDerivedStreams();
-  return log;
+  // An in-memory source never fails, and carries the header (fleet tag).
+  TraceVectorSource source(trace);
+  return std::move(Build(source, billing)).value();
 }
 
 StatusOr<ReplayLog> ReplayLog::Build(TraceSource& source, BillingPolicy billing) {

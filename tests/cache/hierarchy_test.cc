@@ -277,7 +277,7 @@ TEST(HierarchySweep, ThreadCountInvariant) {
 
 TEST(HierarchySweep, EmptyConfigList) {
   const Trace trace = GeneratedTrace("A5", 7016);
-  const HierarchySweepResult result = RunHierarchySweep(trace, {});
+  const HierarchySweepResult result = RunHierarchySweep(ReplayLog::Build(trace), {});
   EXPECT_TRUE(result.points.empty());
   EXPECT_TRUE(result.parity);
 }

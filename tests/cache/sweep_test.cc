@@ -26,7 +26,7 @@ Trace SmallTrace() {
 }
 
 TEST(RunCacheSweep, AllPointsComputed) {
-  const auto points = RunCacheSweep(SmallTrace(), Fig5Configs());
+  const auto points = RunCacheSweep(ReplayLog::Build(SmallTrace()), Fig5Configs());
   EXPECT_EQ(points.size(), 24u);  // 6 sizes x 4 policies
   for (const SweepPoint& p : points) {
     EXPECT_GT(p.metrics.logical_accesses, 0u);
@@ -34,9 +34,9 @@ TEST(RunCacheSweep, AllPointsComputed) {
 }
 
 TEST(RunCacheSweep, SingleThreadMatchesParallel) {
-  const Trace t = SmallTrace();
-  const auto seq = RunCacheSweep(t, Fig5Configs(), 1);
-  const auto par = RunCacheSweep(t, Fig5Configs(), 8);
+  const ReplayLog log = ReplayLog::Build(SmallTrace());
+  const auto seq = RunCacheSweep(log, Fig5Configs(), 1);
+  const auto par = RunCacheSweep(log, Fig5Configs(), 8);
   ASSERT_EQ(seq.size(), par.size());
   for (size_t i = 0; i < seq.size(); ++i) {
     EXPECT_EQ(seq[i].metrics.DiskIos(), par[i].metrics.DiskIos()) << i;
@@ -81,7 +81,7 @@ TEST(Fig7Configs, PairsPageinOnOff) {
 }
 
 TEST(RunCacheSweep, EmptyConfigList) {
-  EXPECT_TRUE(RunCacheSweep(SmallTrace(), {}).empty());
+  EXPECT_TRUE(RunCacheSweep(ReplayLog::Build(SmallTrace()), {}).empty());
 }
 
 // --- Planned sweep (Mattson + fused replay) --------------------------------
@@ -213,7 +213,7 @@ TEST(PlannedSweep, MetadataConfigsFallBackToPerConfigReplay) {
 
 TEST(PlannedSweep, CurvesCoverRequestedAndConfigSizes) {
   const Trace trace = MixedTrace(59, 300);
-  const PlannedSweep planned = RunPlannedSweep(trace, Fig5Configs());
+  const PlannedSweep planned = RunPlannedSweep(ReplayLog::Build(trace), Fig5Configs());
   ASSERT_EQ(planned.curves.size(), 1u);
   const SweepCurve& curve = planned.curves.front();
   EXPECT_EQ(curve.block_size, 4096u);
@@ -232,7 +232,7 @@ TEST(PlannedSweep, CurvesCoverRequestedAndConfigSizes) {
 }
 
 TEST(PlannedSweep, EmptyConfigList) {
-  EXPECT_TRUE(RunPlannedSweep(SmallTrace(), {}).points.empty());
+  EXPECT_TRUE(RunPlannedSweep(ReplayLog::Build(SmallTrace()), {}).points.empty());
 }
 
 // The parity gates compare residency extremes too: the sample sets below

@@ -170,7 +170,7 @@ TEST_F(EndToEndTest, PolicyOrderingOnRealisticTrace) {
     }
     configs.push_back(c);
   }
-  const auto points = RunCacheSweep(trace(), configs);
+  const auto points = RunCacheSweep(ReplayLog::Build(trace()), configs);
   EXPECT_GT(points[0].metrics.MissRatio(), points[1].metrics.MissRatio());
   EXPECT_GT(points[1].metrics.MissRatio(), points[2].metrics.MissRatio());
   EXPECT_GT(points[2].metrics.MissRatio(), points[3].metrics.MissRatio());

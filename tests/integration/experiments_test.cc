@@ -21,8 +21,10 @@ class ExperimentsTest : public ::testing::Test {
     options.seed = 11;
     result_ = new GenerationResult(GenerateTrace(ProfileA5(), options));
     analysis_ = new TraceAnalysis(AnalyzeForTest(result_->trace));
+    log_ = new ReplayLog(ReplayLog::Build(result_->trace));
   }
   static void TearDownTestSuite() {
+    delete log_;
     delete analysis_;
     delete result_;
   }
@@ -31,10 +33,12 @@ class ExperimentsTest : public ::testing::Test {
 
   static GenerationResult* result_;
   static TraceAnalysis* analysis_;
+  static ReplayLog* log_;
 };
 
 GenerationResult* ExperimentsTest::result_ = nullptr;
 TraceAnalysis* ExperimentsTest::analysis_ = nullptr;
+ReplayLog* ExperimentsTest::log_ = nullptr;
 
 TEST_F(ExperimentsTest, Table3MentionsEveryEventType) {
   const std::string out = RenderTable3(Named());
@@ -80,7 +84,7 @@ TEST_F(ExperimentsTest, CacheRenderingsCoverAxes) {
       fig5.push_back(c);
     }
   }
-  const auto fig5_points = RunCacheSweep(result_->trace, fig5);
+  const auto fig5_points = RunCacheSweep(*log_, fig5);
   const std::string out5 = RenderFigure5Table6(fig5_points);
   EXPECT_NE(out5.find("Write-Through"), std::string::npos);
   EXPECT_NE(out5.find("Delayed Write"), std::string::npos);
@@ -93,12 +97,12 @@ TEST_F(ExperimentsTest, CacheRenderingsCoverAxes) {
       fig6.push_back(c);
     }
   }
-  const auto fig6_points = RunCacheSweep(result_->trace, fig6);
+  const auto fig6_points = RunCacheSweep(*log_, fig6);
   const std::string out6 = RenderFigure6Table7(fig6_points);
   EXPECT_NE(out6.find("Block Accesses"), std::string::npos);
   EXPECT_NE(out6.find("Best Block Size"), std::string::npos);
 
-  const auto fig7_points = RunCacheSweep(result_->trace, Fig7Configs());
+  const auto fig7_points = RunCacheSweep(*log_, Fig7Configs());
   const std::string out7 = RenderFigure7(fig7_points);
   EXPECT_NE(out7.find("Page-in ignored"), std::string::npos);
   EXPECT_NE(out7.find("Page-in simulated"), std::string::npos);
@@ -132,7 +136,7 @@ TEST_F(ExperimentsTest, CsvExportWritesFigureSeries) {
 
 TEST_F(ExperimentsTest, CsvExportSweep) {
   const std::string path = TempPath("sweep.csv");
-  const auto points = RunCacheSweep(result_->trace, Fig7Configs());
+  const auto points = RunCacheSweep(*log_, Fig7Configs());
   ASSERT_TRUE(ExportSweepCsv(path, points).ok());
   std::ifstream in(path);
   ASSERT_TRUE(in.good());

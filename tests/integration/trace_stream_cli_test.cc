@@ -2,11 +2,13 @@
 // strict argument parsing (no silent atoi/atof coercion), profile-name
 // errors that teach the valid names, and the generate/analyze/info round
 // trip including the Table I --check-bands gate, and the whole-trace
-// validate/slice/users/top commands on every writable format version.
+// validate/slice/users/top commands on every writable format version, and
+// the reproduction report.
 
 #include "src/core/trace_stream_cli.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -396,6 +398,7 @@ TEST(TraceStreamCli, ValidateSliceUsersTopOnV3AndV4) {
     EXPECT_EQ(RunStdout({"top", in, "3"}, &out), 0) << compress;
     EXPECT_NE(out.find("distinct files"), std::string::npos) << out;
     EXPECT_NE(out.find("top 3 files' access share"), std::string::npos) << out;
+    EXPECT_NE(out.find("top 3 files' byte share"), std::string::npos) << out;
     EXPECT_NE(out.find("files covering 90% of accesses"), std::string::npos) << out;
     EXPECT_EQ(RunStdout({"top", in}, &out), 0);
     EXPECT_NE(out.find("top 10 files"), std::string::npos) << out;
@@ -479,6 +482,51 @@ TEST(TraceStreamCli, WholeTraceCommandUsageErrors) {
   }
   EXPECT_EQ(RunCaptured({"slice", TempPath("no_such.trc"), cut, "0", "10"}, &err), 1);
   std::remove(in.c_str());
+}
+
+// -- report -------------------------------------------------------------------
+
+// report renders every section once, in paper order, from short standard
+// traces, and exits 0 when every parity check holds.  It takes no arguments.
+TEST(TraceStreamCli, ReportRendersEverySection) {
+  std::string err;
+  EXPECT_EQ(RunCaptured({"report", "extra"}, &err), 2);
+  EXPECT_EQ(RunCaptured({"report", "--hours=1"}, &err), 2);
+
+  setenv("BSDTRACE_HOURS", "0.5", 1);
+  std::string out;
+  const int rc = RunStdout({"report"}, &out);
+  unsetenv("BSDTRACE_HOURS");
+  EXPECT_EQ(rc, 0);
+  EXPECT_NE(out.find("0.5 simulated hours"), std::string::npos) << out;
+  const std::vector<std::string> headings = {
+      "Table I — selected results",
+      "Table III — overall statistics",
+      "Table IV — system activity",
+      "Table V — sequentiality",
+      "Figure 1 — sequential run lengths",
+      "Figure 2 — dynamic file sizes",
+      "Figure 3 — open durations",
+      "Figure 4 — file lifetimes",
+      "Figure 5 / Table VI — cache size and write policy",
+      "Figure 6 / Table VII — block size",
+      "Figure 7 — simulated program page-in",
+      "ablation — cache replacement policy",
+      "ablation — run billing time",
+      "ablation — flush-back interval sweep",
+      "extension — i-node and directory overhead",
+      "extension — one-pass stack-distance analysis",
+      "extension — file popularity",
+      "extension — working-set sizes",
+  };
+  size_t previous = 0;
+  for (const std::string& heading : headings) {
+    const size_t at = out.find(heading);
+    ASSERT_NE(at, std::string::npos) << heading;
+    EXPECT_EQ(out.find(heading, at + 1), std::string::npos) << "repeated: " << heading;
+    EXPECT_GT(at, previous) << "out of order: " << heading;
+    previous = at;
+  }
 }
 
 }  // namespace

@@ -122,9 +122,9 @@ TEST(ProfileByName, ResolvesAllNames) {
   EXPECT_EQ(ProfileByName("E3").machine, "ucbernie");
   EXPECT_EQ(ProfileByName("C4").machine, "ucbcad");
   EXPECT_EQ(ProfileByName("ucbcad").machine, "ucbcad");
-  // The lenient legacy wrapper still falls back to A5 (calibrate and the
-  // examples rely on it); user-facing entry points use the error-returning
-  // lookup below instead.
+  // The lenient legacy wrapper still falls back to A5 (GenerateStandardTrace
+  // and the examples rely on it); user-facing entry points use the
+  // error-returning lookup below instead.
   EXPECT_EQ(ProfileByName("unknown").machine, "ucbarpa");
 }
 

@@ -26,7 +26,7 @@ GeneratorOptions ShortOptions() {
 
 // The one-machine fleet through the spill engine: a single machine is
 // ParseFleetSpec("A5").
-FleetGenerationResult GenerateA5(const GeneratorOptions& base, int shards, int threads) {
+FleetGenerationResult ShardedA5(const GeneratorOptions& base, int shards, int threads) {
   auto fleet = ParseFleetSpec("A5");
   EXPECT_TRUE(fleet.ok()) << fleet.status().message();
   FleetGeneratorOptions options;
@@ -39,7 +39,7 @@ FleetGenerationResult GenerateA5(const GeneratorOptions& base, int shards, int t
 }
 
 FleetGenerationResult Generate(int shards, int threads) {
-  return GenerateA5(ShortOptions(), shards, threads);
+  return ShardedA5(ShortOptions(), shards, threads);
 }
 
 // The spill engine at one shard streams exactly the serial records and
@@ -47,7 +47,7 @@ FleetGenerationResult Generate(int shards, int threads) {
 // carry the fleet tag).
 void ExpectOneShardMatchesSerial(const GeneratorOptions& base) {
   const GenerationResult serial = GenerateTrace(ProfileA5(), base);
-  const FleetGenerationResult sharded = GenerateA5(base, /*shards=*/1, /*threads=*/1);
+  const FleetGenerationResult sharded = ShardedA5(base, /*shards=*/1, /*threads=*/1);
   ASSERT_FALSE(serial.trace.empty());
   EXPECT_EQ(serial.trace.records(), sharded.trace.records());
   EXPECT_EQ(sharded.stats.records_streamed, serial.trace.size());
