@@ -28,17 +28,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
-bool MetricsEqual(const CacheMetrics& a, const CacheMetrics& b) {
-  return a.logical_accesses == b.logical_accesses && a.read_accesses == b.read_accesses &&
-         a.write_accesses == b.write_accesses && a.metadata_accesses == b.metadata_accesses &&
-         a.disk_reads == b.disk_reads && a.disk_writes == b.disk_writes &&
-         a.dirty_discarded == b.dirty_discarded && a.evictions == b.evictions &&
-         a.residency_over_20min == b.residency_over_20min &&
-         a.residency_samples == b.residency_samples &&
-         a.residency_seconds.sum() == b.residency_seconds.sum() &&
-         a.residency_seconds.variance() == b.residency_seconds.variance();
-}
-
 }  // namespace
 }  // namespace bsdtrace
 
@@ -91,7 +80,7 @@ int main() {
 
   bool identical = direct.size() == replayed.size();
   for (size_t i = 0; identical && i < direct.size(); ++i) {
-    identical = MetricsEqual(direct[i], replayed[i]);
+    identical = CacheMetricsBitIdentical(direct[i], replayed[i]);
   }
   const double speedup = replay_s > 0 ? reconstruct_s / replay_s : 0;
 

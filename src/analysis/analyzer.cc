@@ -1,69 +1,21 @@
 #include "src/analysis/analyzer.h"
 
-#include <array>
+#include "src/analysis/collector_set.h"
 
 namespace bsdtrace {
-namespace {
 
-// Fans reconstruction callbacks out to every collector.
-class MuxSink : public ReconstructionSink {
- public:
-  explicit MuxSink(std::array<ReconstructionSink*, 6> sinks) : sinks_(sinks) {}
-
-  void OnTransfer(const Transfer& t) override {
-    for (ReconstructionSink* s : sinks_) {
-      s->OnTransfer(t);
-    }
-  }
-  void OnAccess(const AccessSummary& a) override {
-    for (ReconstructionSink* s : sinks_) {
-      s->OnAccess(a);
-    }
-  }
-  void OnRecord(const TraceRecord& r) override {
-    for (ReconstructionSink* s : sinks_) {
-      s->OnRecord(r);
-    }
-  }
-
- private:
-  std::array<ReconstructionSink*, 6> sinks_;
-};
-
-// Bundles the six collectors plus their fan-out sink; both serial entry
-// points drive the same bundle, differing only in how records arrive.
-class CollectorSet {
- public:
-  CollectorSet()
-      : mux_({&overall_, &activity_, &per_user_, &sequentiality_, &patterns_,
-              &lifetimes_}) {}
-
-  ReconstructionSink* sink() { return &mux_; }
-
-  TraceAnalysis Take() {
-    TraceAnalysis analysis;
-    analysis.overall = overall_.Take();
-    analysis.activity = activity_.Take();
-    analysis.per_user = per_user_.Take();
-    analysis.sequentiality = sequentiality_.Take();
-    analysis.runs = patterns_.TakeRuns();
-    analysis.file_sizes = patterns_.TakeFileSizes();
-    analysis.open_times = patterns_.TakeOpenTimes();
-    analysis.lifetimes = lifetimes_.Take();
-    return analysis;
-  }
-
- private:
-  OverallStatsCollector overall_;
-  ActivityCollector activity_;
-  PerUserActivityCollector per_user_;
-  SequentialityCollector sequentiality_;
-  PatternsCollector patterns_;
-  LifetimeCollector lifetimes_;
-  MuxSink mux_;
-};
-
-}  // namespace
+TraceAnalysis CollectorSet::Take() {
+  TraceAnalysis analysis;
+  analysis.overall = overall.Take();
+  analysis.activity = activity.Take();
+  analysis.per_user = per_user.Take();
+  analysis.sequentiality = sequentiality.Take();
+  analysis.runs = patterns.TakeRuns();
+  analysis.file_sizes = patterns.TakeFileSizes();
+  analysis.open_times = patterns.TakeOpenTimes();
+  analysis.lifetimes = lifetimes.Take();
+  return analysis;
+}
 
 const char* AnalyzeModeName(AnalyzeMode mode) {
   switch (mode) {
@@ -81,13 +33,13 @@ namespace internal {
 
 TraceAnalysis SerialAnalyze(const Trace& trace) {
   CollectorSet collectors;
-  Reconstruct(trace, collectors.sink());
+  Reconstruct(trace, &collectors);
   return collectors.Take();
 }
 
 StatusOr<TraceAnalysis> SerialAnalyze(TraceSource& source) {
   CollectorSet collectors;
-  const Status status = Reconstruct(source, collectors.sink());
+  const Status status = Reconstruct(source, &collectors);
   if (!status.ok()) {
     return status;
   }

@@ -42,7 +42,7 @@ struct OpenTimeStats {
   void Merge(const OpenTimeStats& other) { seconds.Merge(other.seconds); }
 };
 
-class PatternsCollector : public ReconstructionSink {
+class PatternsCollector final : public ReconstructionSink {
  public:
   void OnTransfer(const Transfer& transfer) override;
   void OnAccess(const AccessSummary& access) override;

@@ -27,12 +27,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/analysis/activity.h"
-#include "src/analysis/lifetimes.h"
-#include "src/analysis/overall.h"
-#include "src/analysis/patterns.h"
-#include "src/analysis/per_user_activity.h"
-#include "src/analysis/sequentiality.h"
+#include "src/analysis/collector_set.h"
 #include "src/trace/reconstruct.h"
 #include "src/trace/trace_source.h"
 #include "src/util/status.h"
@@ -64,14 +59,14 @@ struct SegmentResult {
   LifetimeSegment lifetimes;
 };
 
-// Push-side collector for one segment: the segment-mode collector set, the
-// fan-out mux, and the orphan detector, fed one record at a time.  The
-// parallel workers drain a cursor through it; the rolling analyzer pushes
-// live records into it.
+// Push-side collector for one segment: the segment-mode collector set and
+// the orphan detector, fed one record at a time.  The parallel workers drain
+// a cursor through it; the rolling analyzer pushes live records into it.
 class SegmentCollector {
  public:
   SegmentCollector();
-  ~SegmentCollector();
+  SegmentCollector(const SegmentCollector&) = delete;
+  SegmentCollector& operator=(const SegmentCollector&) = delete;
 
   // Records must arrive in non-decreasing time order.
   void Process(const TraceRecord& record);
@@ -80,16 +75,8 @@ class SegmentCollector {
   SegmentResult Take();
 
  private:
-  class Mux;
-
-  OverallStatsCollector overall_;
-  ActivityCollector activity_;
-  PerUserActivityCollector per_user_;
-  SequentialityCollector sequentiality_;
-  PatternsCollector patterns_;
-  LifetimeCollector lifetimes_;
-  std::unique_ptr<Mux> mux_;
-  std::unique_ptr<AccessReconstructor> reconstructor_;
+  CollectorSet collectors_{/*segment_mode=*/true};
+  AccessReconstructor reconstructor_{&collectors_};
   SegmentResult seg_;
   uint64_t orphans_seen_ = 0;
 };

@@ -56,7 +56,7 @@ struct SequentialityStats {
   }
 };
 
-class SequentialityCollector : public ReconstructionSink {
+class SequentialityCollector final : public ReconstructionSink {
  public:
   void OnAccess(const AccessSummary& access) override;
   SequentialityStats Take() { return stats_; }

@@ -228,7 +228,7 @@ Status BufferedReader::SkipTo(uint64_t offset) {
   return Status::Ok();
 }
 
-const uint8_t* BufferedReader::ContiguousSlow(size_t n, size_t* available) {
+const uint8_t* BufferedReader::ContiguousSlow([[maybe_unused]] size_t n, size_t* available) {
   assert(n <= kBlockSize);
   Refill();
   *available = end_ - pos_;

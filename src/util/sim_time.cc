@@ -9,7 +9,7 @@ std::string Duration::ToString() const {
   char buf[64];
   const int64_t us = us_;
   if (us < 0) {
-    return "-" + Duration::Micros(-us).ToString();
+    return std::string("-").append(Duration::Micros(-us).ToString());
   }
   if (us < 1000) {
     std::snprintf(buf, sizeof(buf), "%" PRId64 "us", us);

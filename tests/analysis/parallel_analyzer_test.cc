@@ -236,7 +236,7 @@ TEST(ParallelAnalyzer, CorruptBlockSurfacesThroughWorkers) {
 std::vector<TraceBlockIndexEntry> UniformIndex(size_t blocks, uint64_t records_each) {
   std::vector<TraceBlockIndexEntry> index(blocks);
   for (size_t i = 0; i < blocks; ++i) {
-    index[i] = {.offset = i * 1000, .record_count = records_each};
+    index[i] = {.offset = i * 1000, .record_count = records_each, .start_time = SimTime()};
   }
   return index;
 }
@@ -288,7 +288,9 @@ TEST(CarveIndex, ZeroMinDisablesCoalescing) {
 TEST(CarveIndex, UnevenBlocksStillPartition) {
   std::vector<TraceBlockIndexEntry> index;
   for (uint64_t i = 0; i < 30; ++i) {
-    index.push_back({.offset = i * 100, .record_count = (i % 7 == 0) ? 20'000u : 3u});
+    index.push_back({.offset = i * 100,
+                     .record_count = (i % 7 == 0) ? 20'000u : 3u,
+                     .start_time = SimTime()});
   }
   for (const unsigned threads : {2u, 4u, 8u, 16u}) {
     const auto ranges = internal::CarveIndex(index, threads, 8192);
