@@ -16,7 +16,7 @@ void OverallStats::Merge(const OverallStats& other) {
   inter_event_interval_seconds.Merge(other.inter_event_interval_seconds);
 }
 
-void OverallStatsCollector::OnRecord(const TraceRecord& r) {
+void OverallStatsCollector::OnRecord(const TraceRecord& r, RecordOwner) {
   ++stats_.total_records;
   stats_.count_by_type[static_cast<size_t>(r.type)] += 1;
   if (r.time > last_time_) {

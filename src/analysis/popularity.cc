@@ -48,7 +48,7 @@ void PopularityCollector::OnAccess(const AccessSummary& a) {
 
 void PopularityCollector::OnTransfer(const Transfer&) {}
 
-void PopularityCollector::OnRecord(const TraceRecord& r) {
+void PopularityCollector::OnRecord(const TraceRecord& r, RecordOwner) {
   // Executions count as accesses to the program file.
   if (r.type == EventType::kExecve) {
     files_[r.file_id].accesses += 1;

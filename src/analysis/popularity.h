@@ -38,7 +38,7 @@ class PopularityCollector : public ReconstructionSink {
  public:
   void OnAccess(const AccessSummary& access) override;
   void OnTransfer(const Transfer& transfer) override;
-  void OnRecord(const TraceRecord& record) override;
+  void OnRecord(const TraceRecord& record, RecordOwner owner) override;
 
   PopularityStats Take();
 

@@ -63,7 +63,7 @@ class CacheSimulator final : public ReconstructionSink {
       meta_dirty_.insert(t.file_id);
     }
   }
-  void OnRecord(const TraceRecord& record) override;
+  void OnRecord(const TraceRecord& record, RecordOwner owner) override;
 
   // Finalizes residency statistics for blocks still cached.  Dirty blocks
   // still in the cache are NOT charged as disk writes (the trace simply

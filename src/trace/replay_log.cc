@@ -79,7 +79,7 @@ class RecordingSink : public ReconstructionSink {
     ++transfer_count;
   }
 
-  void OnRecord(const TraceRecord& r) override {
+  void OnRecord(const TraceRecord& r, RecordOwner) override {
     ReplayEvent e;
     e.time = r.time;
     e.file = r.file_id;

@@ -91,16 +91,19 @@ class ReplayLog {
 
   ReplayLog() = default;
 
-  // Streams the recorded events into `sink` in recorded order.  Statically
-  // typed so calls devirtualize when Sink is a final class (the simulator hot
-  // path); safe to call concurrently from many threads — replay is read-only.
+  // Streams the recorded events into `sink`, a ReconstructionSink, in
+  // recorded order.  The log keeps no open table, so each record's owner is
+  // its own user_id.  Statically typed so calls devirtualize when Sink is a
+  // final class (the simulator hot path); safe to call concurrently from
+  // many threads — replay is read-only.
   template <typename Sink>
   void ReplayInto(Sink& sink) const {
     for (const ReplayEvent& e : events_) {
       if (e.is_transfer()) {
         sink.OnTransfer(UnpackTransfer(e));
       } else {
-        sink.OnRecord(UnpackRecord(e));
+        const TraceRecord r = UnpackRecord(e);
+        sink.OnRecord(r, RecordOwner{.user = r.user_id, .open_seen = true});
       }
     }
   }

@@ -20,7 +20,7 @@ struct CollectSink : ReconstructionSink {
 
   void OnTransfer(const Transfer& t) override { transfers.push_back(t); }
   void OnAccess(const AccessSummary& a) override { accesses.push_back(a); }
-  void OnRecord(const TraceRecord& r) override { records.push_back(r); }
+  void OnRecord(const TraceRecord& r, RecordOwner) override { records.push_back(r); }
 };
 
 CollectSink RunTrace(const Trace& trace) {
