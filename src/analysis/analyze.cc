@@ -22,8 +22,7 @@ unsigned ResolveThreads(unsigned threads) {
 }
 
 int InputsSet(const AnalyzeOptions& o) {
-  return (o.trace != nullptr) + (o.source != nullptr) + (o.seekable != nullptr) +
-         (!o.path.empty());
+  return (o.trace != nullptr) + (o.source != nullptr) + (!o.path.empty());
 }
 
 // The header of the configured input, for the Table I band check.  For
@@ -35,9 +34,6 @@ const TraceHeader* InputHeader(const AnalyzeOptions& o, const TraceSource* open_
   if (o.source != nullptr) {
     return &o.source->header();
   }
-  if (o.seekable != nullptr) {
-    return &o.seekable->header();
-  }
   return open_source != nullptr ? &open_source->header() : nullptr;
 }
 
@@ -46,11 +42,10 @@ const TraceHeader* InputHeader(const AnalyzeOptions& o, const TraceSource* open_
 StatusOr<TraceAnalysis> Analyze(const AnalyzeOptions& options) {
   const int inputs = InputsSet(options);
   if (inputs == 0) {
-    return Status::Error("Analyze: no input (set one of trace/source/seekable/path)");
+    return Status::Error("Analyze: no input (set one of trace/source/path)");
   }
   if (inputs > 1) {
-    return Status::Error("Analyze: ambiguous input (set exactly one of "
-                         "trace/source/seekable/path)");
+    return Status::Error("Analyze: ambiguous input (set exactly one of trace/source/path)");
   }
 
   StatusOr<TraceAnalysis> result = Status::Error("unreachable");
@@ -70,8 +65,6 @@ StatusOr<TraceAnalysis> Analyze(const AnalyzeOptions& options) {
     if (options.trace != nullptr) {
       vector_source = std::make_unique<TraceVectorSource>(*options.trace);
       source = vector_source.get();
-    } else if (options.seekable != nullptr) {
-      source = open_file(options.seekable->path());
     } else if (!options.path.empty()) {
       source = open_file(options.path);
     }
@@ -82,9 +75,7 @@ StatusOr<TraceAnalysis> Analyze(const AnalyzeOptions& options) {
     result = internal::SerialAnalyze(*options.source);
   } else {
     const unsigned threads = ResolveThreads(options.threads);
-    if (options.seekable != nullptr) {
-      result = internal::SegmentedAnalyze(*options.seekable, threads);
-    } else if (threads > 1) {
+    if (threads > 1) {
       SeekableTraceSource seekable(options.path);
       result = internal::SegmentedAnalyze(seekable, threads);
     } else {
@@ -96,8 +87,7 @@ StatusOr<TraceAnalysis> Analyze(const AnalyzeOptions& options) {
     return result;
   }
   if (options.check_bands) {
-    if (file == nullptr && options.trace == nullptr && options.source == nullptr &&
-        options.seekable == nullptr) {
+    if (file == nullptr && options.trace == nullptr && options.source == nullptr) {
       // Parallel path-based run: no streaming source was opened; read the
       // header now.
       open_file(options.path);

@@ -2,8 +2,7 @@
 // in-memory trace, streaming over any TraceSource (files, merges, live
 // rings), segment-parallel over an indexed on-disk trace, and rolling live
 // analysis with periodic snapshots — goes through one entry point,
-// Analyze(AnalyzeOptions).  The historical per-shape entry points remain as
-// one-line shims for out-of-tree callers.
+// Analyze(AnalyzeOptions).
 
 #ifndef BSDTRACE_SRC_ANALYSIS_ANALYZER_H_
 #define BSDTRACE_SRC_ANALYSIS_ANALYZER_H_
@@ -66,13 +65,12 @@ struct TraceAnalysis {
   }
 };
 
-// Options for Analyze().  Exactly ONE of {trace, source, seekable, path}
+// Options for Analyze().  Exactly ONE of {trace, source, path}
 // must be set; everything else tunes how that record stream is analyzed.
 struct AnalyzeOptions {
   // -- The record stream (pick one) -------------------------------------
   const Trace* trace = nullptr;          // in-memory records
   TraceSource* source = nullptr;         // any pull stream (file, merge, ring)
-  const SeekableTraceSource* seekable = nullptr;  // opened indexed file
   std::string path;                      // trace file on disk
 
   // -- Execution --------------------------------------------------------
@@ -111,7 +109,6 @@ struct AnalyzeOptions {
 // onto options directly:
 //   in-memory trace     Analyze({.trace = &trace})
 //   streaming source    Analyze({.source = &source})
-//   seekable + threads  Analyze({.seekable = &seekable, .threads = N})
 //   file path + threads Analyze({.path = path, .threads = N})
 StatusOr<TraceAnalysis> Analyze(const AnalyzeOptions& options);
 

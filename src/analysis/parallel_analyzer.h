@@ -1,6 +1,6 @@
-// Parallel Section-5 analysis over an on-disk v3 trace.
+// Parallel Section-5 analysis over an on-disk v3/v4 trace.
 //
-// The trace is carved at block boundaries (the v3 footer index) into one
+// The trace is carved at block boundaries (the v3/v4 footer index) into one
 // contiguous segment per worker.  Each worker runs the full collector set
 // over its segment in isolation (SegmentCollector), and a serial stitch pass
 // (SegmentStitcher) walks the segments in time order, replaying boundary

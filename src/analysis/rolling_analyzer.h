@@ -8,8 +8,7 @@
 // incremental stitcher absorbs segments as their boundary passes.  A
 // snapshot is the stitcher's finalized prefix state, so it is bit-identical
 // to a batch Analyze of exactly the records before the boundary — the
-// correctness gate of the live pipeline (rolling_analyzer_test,
-// bench_live_serve).
+// correctness gate of the live pipeline (rolling_analyzer_test).
 //
 // Single-threaded: one RollingAnalyzer is driven by one consumer thread
 // (typically draining a RingTraceSource).  Concurrency lives in the ring,

@@ -4,53 +4,6 @@
 #include <unordered_set>
 
 namespace bsdtrace {
-namespace {
-
-// Copies the header and stamps the description with the derivation.
-Trace Derive(const Trace& source, const std::string& note) {
-  TraceHeader header = source.header();
-  if (!header.description.empty()) {
-    header.description += "; ";
-  }
-  header.description += note;
-  return Trace(header);
-}
-
-// Generic keep-by-open-id filter: two passes.  `keep_record` decides for
-// records that carry their own identity (open/create decide for their whole
-// open id; unlink/truncate/execve decide individually).
-Trace FilterByOpens(const Trace& source, const std::string& note,
-                    const std::function<bool(const TraceRecord&)>& keep_record) {
-  // Pass 1: decide which open ids survive.
-  std::unordered_set<OpenId> kept_opens;
-  for (const TraceRecord& r : source.records()) {
-    if ((r.type == EventType::kOpen || r.type == EventType::kCreate) && keep_record(r)) {
-      kept_opens.insert(r.open_id);
-    }
-  }
-  // Pass 2: copy.
-  Trace out = Derive(source, note);
-  for (const TraceRecord& r : source.records()) {
-    switch (r.type) {
-      case EventType::kOpen:
-      case EventType::kCreate:
-      case EventType::kClose:
-      case EventType::kSeek:
-        if (kept_opens.count(r.open_id) != 0) {
-          out.Append(r);
-        }
-        break;
-      default:
-        if (keep_record(r)) {
-          out.Append(r);
-        }
-        break;
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 Trace SliceByTime(const Trace& source, SimTime start, SimTime end, bool rebase) {
   // Opens whose whole lifetime lies inside the window.
@@ -78,7 +31,13 @@ Trace SliceByTime(const Trace& source, SimTime start, SimTime end, bool rebase) 
     }
   }
 
-  Trace out = Derive(source, "slice [" + start.ToString() + ", " + end.ToString() + ")");
+  // The slice keeps the header, with the derivation noted in its description.
+  TraceHeader header = source.header();
+  if (!header.description.empty()) {
+    header.description += "; ";
+  }
+  header.description += "slice [" + start.ToString() + ", " + end.ToString() + ")";
+  Trace out(header);
   const Duration shift = start - SimTime::Origin();
   for (const TraceRecord& r : source.records()) {
     if (r.time < start || r.time >= end) {
@@ -103,16 +62,6 @@ Trace SliceByTime(const Trace& source, SimTime start, SimTime end, bool rebase) 
     out.Append(copy);
   }
   return out;
-}
-
-Trace FilterByUser(const Trace& source, const std::function<bool(UserId)>& keep) {
-  return FilterByOpens(source, "user filter",
-                       [&keep](const TraceRecord& r) { return keep(r.user_id); });
-}
-
-Trace FilterByFile(const Trace& source, const std::function<bool(FileId)>& keep) {
-  return FilterByOpens(source, "file filter",
-                       [&keep](const TraceRecord& r) { return keep(r.file_id); });
 }
 
 std::map<UserId, uint64_t> CountEventsByUser(const Trace& trace) {

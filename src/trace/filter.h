@@ -1,13 +1,12 @@
-// Trace slicing and filtering utilities.
+// Trace slicing and per-user event counts.
 //
-// Derived traces stay structurally valid: filters keep the record set closed
-// over open ids (a kept close always has its open kept, and vice versa), so
-// the validator and all analyzers accept the result.
+// A slice stays structurally valid: it keeps the record set closed over open
+// ids (a kept close always has its open kept, and vice versa), so the
+// validator and all analyzers accept the result.
 
 #ifndef BSDTRACE_SRC_TRACE_FILTER_H_
 #define BSDTRACE_SRC_TRACE_FILTER_H_
 
-#include <functional>
 #include <map>
 
 #include "src/trace/trace.h"
@@ -19,14 +18,6 @@ namespace bsdtrace {
 // matches the reconstructor's treatment of clipped opens.  Timestamps are
 // rebased so the slice starts at 0 when `rebase` is true.
 Trace SliceByTime(const Trace& trace, SimTime start, SimTime end, bool rebase = true);
-
-// Keeps activity of users accepted by the predicate.  Close/seek records
-// (which carry no user id) follow their open's user.
-Trace FilterByUser(const Trace& trace, const std::function<bool(UserId)>& keep);
-
-// Keeps activity touching files accepted by the predicate (whole accesses:
-// the open/seek/close chain of a kept file is kept together).
-Trace FilterByFile(const Trace& trace, const std::function<bool(FileId)>& keep);
 
 // Event counts per user over the whole trace (close/seek attributed to the
 // opening user).

@@ -106,17 +106,6 @@ TEST(AnalyzeApi, IndexedFileReportsParallelAndMatchesSerial) {
     EXPECT_GE(parallel.value().segments_used, 2u);
   }
   EXPECT_TRUE(AnalysisBitIdentical(serial.value(), parallel.value()));
-
-  // A caller-owned seekable source dispatches to the same engine.
-  SeekableTraceSource seekable(path);
-  ASSERT_TRUE(seekable.status().ok());
-  AnalyzeOptions seekable_options;
-  seekable_options.seekable = &seekable;
-  seekable_options.threads = 4;
-  auto via_seekable = Analyze(seekable_options);
-  ASSERT_TRUE(via_seekable.ok());
-  EXPECT_EQ(via_seekable.value().mode, parallel.value().mode);
-  EXPECT_TRUE(AnalysisBitIdentical(parallel.value(), via_seekable.value()));
 }
 
 TEST(AnalyzeApi, SnapshotIntervalReportsLive) {

@@ -15,7 +15,9 @@
 
 #include "src/analysis/parallel_analyzer.h"
 #include "src/trace/trace_ring.h"
+#include "src/workload/fleet.h"
 #include "src/workload/generator.h"
+#include "src/workload/sharded_generator.h"
 #include "tests/testing/analyze_helpers.h"
 #include "tests/testing/trace_builder.h"
 
@@ -38,14 +40,16 @@ struct PublishedSnapshot {
   SimTime boundary;
 };
 
-// Feeds the trace through a RollingAnalyzer and checks the gate at every
-// published boundary plus the final result.  Returns the snapshot count.
-uint64_t ExpectRollingMatchesBatch(const Trace& trace, Duration interval) {
+// Drains `source`, which delivers the records of `trace`, through a
+// RollingAnalyzer and checks the gate at every published boundary plus the
+// final result.  Returns the snapshot count.
+uint64_t ExpectRollingMatchesBatch(const Trace& trace, Duration interval, TraceSource& source) {
   std::vector<PublishedSnapshot> published;
   RollingAnalyzer rolling(interval, [&](const TraceAnalysis& snapshot, SimTime boundary) {
     published.push_back({snapshot, boundary});
   });
-  for (const TraceRecord& r : trace.records()) {
+  TraceRecord r;
+  while (source.Next(&r)) {
     rolling.Process(r);
   }
   const TraceAnalysis final_analysis = rolling.Finish();
@@ -62,6 +66,11 @@ uint64_t ExpectRollingMatchesBatch(const Trace& trace, Duration interval) {
   EXPECT_TRUE(AnalysisBitIdentical(final_analysis, AnalyzeForTest(trace)))
       << "final rolling analysis diverges from batch";
   return published.size();
+}
+
+uint64_t ExpectRollingMatchesBatch(const Trace& trace, Duration interval) {
+  TraceVectorSource source(trace);
+  return ExpectRollingMatchesBatch(trace, interval, source);
 }
 
 // Every cross-boundary hazard: opens outliving several intervals, lifetime
@@ -146,6 +155,40 @@ TEST(RollingAnalyzer, RingFedStreamMatchesBatch) {
   EXPECT_EQ(snapshots, 3u);  // boundaries at 0:30, 1:00, 1:30
   EXPECT_EQ(ring.stats().dropped(), 0u);
   EXPECT_EQ(ring.stats().produced, trace.size());
+}
+
+// The live service's input at its default settings: a six-hour A5 fleet
+// trace (seed 19851201) pushed by a producer thread through a
+// default-capacity blocking ring.  Every hourly snapshot matches its batch
+// prefix, and the ring delivers every record.
+TEST(RollingAnalyzer, SixHourFleetThroughDefaultRingMatchesBatch) {
+  auto fleet = ParseFleetSpec("A5");
+  ASSERT_TRUE(fleet.ok()) << fleet.status().message();
+  FleetGeneratorOptions options;
+  options.base.duration = Duration::Hours(6);
+  options.base.seed = 19851201;
+  auto generated = GenerateFleetTrace(fleet.value(), options);
+  ASSERT_TRUE(generated.ok()) << generated.status().message();
+  const Trace& trace = generated.value().trace;
+
+  TraceRing ring(trace.header(), TraceRingOptions{});
+  ASSERT_EQ(ring.capacity(), size_t{1} << 14);
+  std::thread producer([&]() {
+    RingTraceSink sink(&ring);
+    for (const TraceRecord& r : trace.records()) {
+      sink.Append(r);
+    }
+    ring.Close();
+  });
+  RingTraceSource source(&ring);
+  const uint64_t snapshots = ExpectRollingMatchesBatch(trace, Duration::Hours(1), source);
+  producer.join();
+
+  EXPECT_EQ(snapshots, 5u);  // boundaries at 1:00 .. 5:00
+  const TraceRingStats stats = ring.stats();
+  EXPECT_EQ(stats.dropped(), 0u);
+  EXPECT_EQ(stats.produced, trace.size());
+  EXPECT_EQ(stats.consumed, trace.size());
 }
 
 // The eight Section-5 CDFs of an analysis.

@@ -52,38 +52,6 @@ TEST(SliceByTime, FullWindowKeepsEverything) {
   EXPECT_EQ(slice.records(), original.records());
 }
 
-TEST(FilterByUser, KeepsWholeAccessChains) {
-  const Trace filtered =
-      FilterByUser(SampleTrace(), [](UserId user) { return user == 5; });
-  // User 5: access 1 (open+close) and access 3 (open+close) — 4 records.
-  EXPECT_EQ(filtered.size(), 4u);
-  for (const TraceRecord& r : filtered.records()) {
-    EXPECT_TRUE(r.open_id == 1 || r.open_id == 3);
-  }
-  EXPECT_TRUE(ValidateTrace(filtered).ok());
-}
-
-TEST(FilterByUser, StandaloneEventsFilteredByOwnUser) {
-  const Trace filtered =
-      FilterByUser(SampleTrace(), [](UserId user) { return user == 7; });
-  ASSERT_EQ(filtered.size(), 1u);
-  EXPECT_EQ(filtered.records()[0].type, EventType::kExecve);
-}
-
-TEST(FilterByFile, KeepsMatchingFilesOnly) {
-  const Trace filtered = FilterByFile(SampleTrace(), [](FileId f) { return f == 11; });
-  // Access 2 (create+close) and the unlink of file 11.
-  EXPECT_EQ(filtered.size(), 3u);
-  for (const TraceRecord& r : filtered.records()) {
-    EXPECT_EQ(r.file_id, 11u);
-  }
-}
-
-TEST(FilterByUser, DescriptionNotesDerivation) {
-  const Trace filtered = FilterByUser(SampleTrace(), [](UserId) { return true; });
-  EXPECT_NE(filtered.header().description.find("user filter"), std::string::npos);
-}
-
 TEST(CountEventsByUser, AttributesClosesToOpeningUser) {
   const auto counts = CountEventsByUser(SampleTrace());
   // User 5: open+close (access 1) + open+close (access 3) = 4.

@@ -158,8 +158,9 @@ TEST(TraceV4, WellFormedTraceActuallyCompresses) {
   v3.version = 3;
   ASSERT_TRUE(SaveTrace(v3_path, t, v3).ok());
   ASSERT_TRUE(SaveTrace(v4_path, t, V4(256 * 1024)).ok());
-  // The ISSUE gate (>= 3x) is asserted on realistic generated fleets by the
-  // benchmark; this synthetic trace still must clearly beat v3.
+  // The >= 3x gate is asserted on a generated 2x500-user fleet by
+  // FleetScale.SixHourTwoMachineV4SizeAndActivityBands; this synthetic trace
+  // still must clearly beat v3.
   EXPECT_LT(ReadFileBytes(v4_path).size(), ReadFileBytes(v3_path).size() / 2);
 }
 

@@ -1,6 +1,8 @@
 #include "src/workload/fleet.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <string>
@@ -8,10 +10,13 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/analysis/analyzer.h"
+#include "src/trace/trace_io.h"
 #include "src/trace/validate.h"
 #include "src/workload/generator.h"
 #include "src/workload/profile.h"
 #include "src/workload/sharded_generator.h"
+#include "tests/testing/temp_path.h"
 
 namespace bsdtrace {
 namespace {
@@ -214,6 +219,47 @@ TEST(FleetGenerate, ScaledPopulationShowsUpInTagAndUsers)
   // well past the unscaled 90-user ceiling of id 91.
   EXPECT_GT(max_user, 150u);
   EXPECT_LE(max_user, 301u);
+}
+
+// -- Scale gates --------------------------------------------------------------
+
+// Two 500-user A5 machines over six simulated hours, 8 shards each, seed
+// 19851201.  The same records cost at most a third of their v3 bytes as
+// compressed v4, and a parallel analysis of the v4 file puts every
+// instance's per-user rate inside its Table I band.  Shorter runs hold
+// neither gate: at one hour the per-user rates fall below the band.
+TEST(FleetScale, SixHourTwoMachineV4SizeAndActivityBands) {
+  auto fleet = ParseFleetSpec("2xA5", /*users=*/500);
+  ASSERT_TRUE(fleet.ok()) << fleet.status().message();
+  FleetGeneratorOptions options;
+  options.base.duration = Duration::Hours(6);
+  options.base.seed = 19851201;
+  options.shards_per_machine = 8;
+  auto generated = GenerateFleetTrace(fleet.value(), options);
+  ASSERT_TRUE(generated.ok()) << generated.status().message();
+  const Trace& trace = generated.value().trace;
+
+  const std::string v3_path = TempPath("fleet_scale_v3.trc");
+  const std::string v4_path = TempPath("fleet_scale_v4.trc");
+  ASSERT_TRUE(SaveTrace(v3_path, trace, {.version = 3}).ok());
+  ASSERT_TRUE(SaveTrace(v4_path, trace, {.version = 4}).ok());
+  const uintmax_t v3_bytes = std::filesystem::file_size(v3_path);
+  const uintmax_t v4_bytes = std::filesystem::file_size(v4_path);
+  EXPECT_LE(3 * v4_bytes, v3_bytes) << "v3 " << v3_bytes << " B, v4 " << v4_bytes << " B";
+
+  AnalyzeOptions analyze;
+  analyze.path = v4_path;
+  analyze.threads = 2;
+  analyze.check_bands = true;
+  auto analysis = Analyze(analyze);
+  std::remove(v3_path.c_str());
+  std::remove(v4_path.c_str());
+  ASSERT_TRUE(analysis.ok()) << analysis.status().message();
+  ASSERT_EQ(analysis.value().band_checks.size(), 2u);
+  for (const ActivityBandCheck& c : analysis.value().band_checks) {
+    EXPECT_TRUE(c.ok) << "instance " << c.instance << ": " << c.records_per_user_day
+                      << " records/user/day";
+  }
 }
 
 }  // namespace
