@@ -134,10 +134,11 @@ const std::vector<FlagSpec>& FlagTable() {
        [](CliOptions* o, const std::string& v) { return ParseIntArg(v, 0, 4096, &o->threads); }},
       {"seed", true, "X", "generation seed (deterministic per seed)",
        [](CliOptions* o, const std::string& v) { return ParseU64Arg(v, &o->seed); }},
-      {"compress", true, "none|lz", "lz writes compressed v4 blocks (default none: v3 bytes)",
+      {"compress", true, "none|ans",
+       "ans writes v4 blocks compressed per column with rANS (default none: v3 bytes)",
        [](CliOptions* o, const std::string& v) {
          o->compress = v;
-         return v == "none" || v == "lz";
+         return v == "none" || v == "ans";
        }},
       {"wave-users", true, "N",
        "generate the fleet in bounded-memory waves of at most N scaled users "
@@ -475,8 +476,8 @@ int CmdGenerate(int argc, const char* const* argv) {
   options.shards_per_machine = opt.shards;
   options.threads = opt.threads;
   options.wave_users = opt.wave_users;
-  if (opt.compress == "lz") {
-    options.file_options.version = 4;  // codec defaults to lz in v4
+  if (opt.compress == "ans") {
+    options.file_options.version = 4;  // codec defaults to ans in v4
   }
 
   auto stats = GenerateFleetToFile(fleet.value(), options, out_path);
@@ -781,7 +782,7 @@ int CmdServe(int argc, const char* const* argv) {
 // against the structural invariants by default, and written compressed.
 int CmdImport(int argc, const char* const* argv) {
   CliOptions opt;
-  opt.compress = "lz";  // imports default to compressed v4 blocks
+  opt.compress = "ans";  // imports default to compressed v4 blocks
   std::vector<std::string> positional;
   if (int rc = 0; !ParseSubcommandArgs(*FindSubcommand("import"), argc, argv, 2, 2, &opt,
                                        &positional, &rc)) {
@@ -846,7 +847,7 @@ int CmdImport(int argc, const char* const* argv) {
 
   TraceWriterOptions options;
   options.version = 4;
-  options.codec = opt.compress == "lz" ? TraceCodec::kLz : TraceCodec::kNone;
+  options.codec = opt.compress == "ans" ? TraceCodec::kAns : TraceCodec::kNone;
   const Status s = SaveTrace(out_path, trace, options);
   if (!s.ok()) {
     std::fprintf(stderr, "cannot write %s: %s\n", out_path.c_str(), s.message().c_str());
@@ -924,11 +925,11 @@ int CmdValidate(int argc, const char* const* argv) {
 }
 
 // Writes the accesses wholly inside [from_s, to_s), rebased to start at 0,
-// as a v4 trace compressed per --compress (lz by default, as for import).
+// as a v4 trace compressed per --compress (ans by default, as for import).
 int CmdSlice(int argc, const char* const* argv) {
   const SubcommandSpec& sub = *FindSubcommand("slice");
   CliOptions opt;
-  opt.compress = "lz";
+  opt.compress = "ans";
   std::vector<std::string> positional;
   if (int rc = 0; !ParseSubcommandArgs(sub, argc, argv, 4, 4, &opt, &positional, &rc)) {
     return rc;
@@ -954,7 +955,7 @@ int CmdSlice(int argc, const char* const* argv) {
       SliceByTime(trace, SimTime::FromMicros(from_us), SimTime::FromMicros(to_us));
   TraceWriterOptions options;
   options.version = 4;
-  options.codec = opt.compress == "lz" ? TraceCodec::kLz : TraceCodec::kNone;
+  options.codec = opt.compress == "ans" ? TraceCodec::kAns : TraceCodec::kNone;
   if (const Status s = SaveTrace(positional[1], slice, options); !s.ok()) {
     std::fprintf(stderr, "cannot write %s: %s\n", positional[1].c_str(), s.message().c_str());
     return 1;

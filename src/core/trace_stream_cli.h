@@ -5,14 +5,14 @@
 //   trace_stream generate <out.trc> [profile] [hours] [shards] [threads] [seed]
 //                         [--profile=SPEC] [--users=N] [--hours=H]
 //                         [--shards=S] [--threads=T] [--seed=X]
-//                         [--compress=none|lz] [--wave-users=N]
+//                         [--compress=none|ans] [--wave-users=N]
 //   trace_stream analyze  <in.trc> [--threads=N] [--check-bands]
 //   trace_stream import   <in.log> <out.trc> [--format=bsdtxt|strace]
-//                         [--compress=none|lz] [--no-validate]
+//                         [--compress=none|ans] [--no-validate]
 //   trace_stream export   <in.trc> [--out=PATH]
 //   trace_stream info     <in.trc>
 //   trace_stream validate <in.trc>
-//   trace_stream slice    <in.trc> <out.trc> <from_s> <to_s> [--compress=none|lz]
+//   trace_stream slice    <in.trc> <out.trc> <from_s> <to_s> [--compress=none|ans]
 //   trace_stream users    <in.trc>
 //   trace_stream top      <in.trc> [n]
 //   trace_stream report

@@ -1,14 +1,17 @@
 #include "src/trace/trace_io.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cassert>
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <ostream>
 
 #include "src/trace/crc32c.h"
 #include "src/trace/io_buffer.h"
-#include "src/trace/lz_codec.h"
 #include "src/trace/trace_source.h"
 
 namespace bsdtrace {
@@ -21,9 +24,9 @@ constexpr char kMagicV4[8] = {'B', 'S', 'D', 'T', 'R', 'C', '4', '\n'};
 constexpr uint8_t kEndSentinel = 0;
 constexpr uint8_t kBlockMarker = 1;
 constexpr int64_t kMicrosPerHour = int64_t{3'600} * 1'000'000;
-// Sanity cap on a declared block payload: anything larger is corruption, not
-// a real block (writers target ~256 KB).
-constexpr uint64_t kMaxBlockPayload = uint64_t{1} << 30;
+// Codec id 1 was an LZ parse over an adaptive range coder; files written
+// with it must be rewritten by a build that still reads them.
+constexpr int kRetiredLzCodec = 1;
 
 // The codec is templated over byte sinks/sources so the buffered file path,
 // its raw-memory fast paths and the v4 stream buffers share one encoding.
@@ -352,7 +355,10 @@ bool DecodeHeader(Source& in, TraceHeader* header, int64_t* declared, int* versi
 
 TraceFileWriter::TraceFileWriter(const std::string& path, const TraceHeader& header,
                                  int64_t expected_records, const TraceWriterOptions& options)
-    : out_(path), options_(options) {
+    : path_(path),
+      temp_path_(path + ".tmp-" + std::to_string(::getpid())),
+      out_(temp_path_),
+      options_(options) {
   assert(options_.version >= 2 && options_.version <= 4);
   if (!out_.ok()) {
     return;
@@ -439,11 +445,11 @@ void TraceFileWriter::V4FieldStreams::Clear() {
   seek_froms.clear();
   seek_tos.clear();
   prev_open_id = 0;
-  open_table.clear();
+  open_table.Clear();
   open_lru.clear();
-  file_mtf.clear();
-  user_mtf.clear();
-  file_size.clear();
+  file_mtf.Clear();
+  user_mtf.Clear();
+  file_size.Clear();
 }
 
 namespace {
@@ -468,25 +474,24 @@ void PutRaw(std::vector<uint8_t>& stream, uint64_t value) {
 }
 
 // File and user ids are Zipfian references, not random-walk values, so they
-// are coded through a block-local move-to-front list: rank+1 for a value on
-// the list (which then moves to the front), 0 followed by the full value for
-// one that is not (which is inserted at the front).  The list is capped so a
-// pathological id stream cannot make lookups quadratic in the block size.
-constexpr size_t kV4MtfCap = 4096;
-
-void PutMtf(std::vector<uint8_t>& stream, std::vector<uint64_t>* mtf, uint64_t value) {
-  auto it = std::find(mtf->begin(), mtf->end(), value);
-  if (it != mtf->end()) {
-    PutRaw(stream, static_cast<uint64_t>(it - mtf->begin()) + 1);
-    mtf->erase(it);
-  } else {
-    PutRaw(stream, 0);
+// are coded through a block-local move-to-front list (move_to_front.h):
+// rank+1 for a value on the list, 0 followed by the full value for one that
+// is not.
+void PutMtf(std::vector<uint8_t>& stream, MtfEncoder* mtf, uint64_t value) {
+  const uint64_t code = mtf->Encode(value);
+  PutRaw(stream, code);
+  if (code == 0) {
     PutRaw(stream, value);
-    if (mtf->size() >= kV4MtfCap) {
-      mtf->pop_back();
-    }
   }
-  mtf->insert(mtf->begin(), value);
+}
+
+size_t VarintSize(uint64_t v) {
+  size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
 }
 
 // v4 close/seek prediction flags (see the trace_io.h format comment).  A
@@ -527,9 +532,9 @@ void TraceFileWriter::AppendV4(const TraceRecord& r) {
   // Size of a file reference: residual against the file's last size seen in
   // this block (files rarely change size between references).
   auto put_size = [&](uint64_t file_id, uint64_t size) {
-    auto fs = v4_.file_size.find(file_id);
-    PutResidual(v4_.sizes, size, fs == v4_.file_size.end() ? 0 : fs->second);
-    v4_.file_size[file_id] = size;
+    uint64_t& last = v4_.file_size[file_id];  // 0 for a file new to the block
+    PutResidual(v4_.sizes, size, last);
+    last = size;
   };
   switch (r.type) {
     case EventType::kOpen:
@@ -541,7 +546,7 @@ void TraceFileWriter::AppendV4(const TraceRecord& r) {
       PutRaw(v4_.positions, r.position);
       // The LRU list mirrors the table's key set exactly; a re-used open id
       // replaces its old entry in both.
-      if (v4_.open_table.count(r.open_id) != 0) {
+      if (v4_.open_table.Find(r.open_id) != nullptr) {
         v4_.open_lru.erase(std::find(v4_.open_lru.begin(), v4_.open_lru.end(), r.open_id));
       }
       v4_.open_table[r.open_id] = {r.file_id, r.size, r.position};
@@ -549,10 +554,10 @@ void TraceFileWriter::AppendV4(const TraceRecord& r) {
       break;
     }
     case EventType::kClose: {
-      auto it = v4_.open_table.find(r.open_id);
-      const bool in_table = it != v4_.open_table.end() && it->second.file_id == r.file_id;
+      const V4FieldStreams::OpenInfo* open = v4_.open_table.Find(r.open_id);
+      const bool in_table = open != nullptr && open->file_id == r.file_id;
       const bool pos_eq = r.position == r.size;
-      const bool size_eq = in_table && r.size == it->second.size;
+      const bool size_eq = in_table && r.size == open->size;
       v4_.flags.push_back(static_cast<uint8_t>((in_table ? kV4InTable : 0) |
                                                (pos_eq ? kV4PosEqSize : 0) |
                                                (size_eq ? kV4SizeEqOpen : 0)));
@@ -566,7 +571,7 @@ void TraceFileWriter::AppendV4(const TraceRecord& r) {
       }
       if (!size_eq) {
         if (in_table) {
-          PutResidual(v4_.sizes, r.size, it->second.size);
+          PutResidual(v4_.sizes, r.size, open->size);
         } else {
           PutRaw(v4_.sizes, r.size);
         }
@@ -575,15 +580,15 @@ void TraceFileWriter::AppendV4(const TraceRecord& r) {
         PutResidual(v4_.positions, r.position, r.size);
       }
       if (in_table) {
-        v4_.open_table.erase(it);
+        v4_.open_table.Erase(r.open_id);
         v4_.file_size[r.file_id] = r.size;
       }
       break;
     }
     case EventType::kSeek: {
-      auto it = v4_.open_table.find(r.open_id);
-      const bool in_table = it != v4_.open_table.end() && it->second.file_id == r.file_id;
-      const bool from_eq = in_table && r.seek_from == it->second.position;
+      V4FieldStreams::OpenInfo* open = v4_.open_table.Find(r.open_id);
+      const bool in_table = open != nullptr && open->file_id == r.file_id;
+      const bool from_eq = in_table && r.seek_from == open->position;
       v4_.flags.push_back(static_cast<uint8_t>((in_table ? kV4InTable : 0) |
                                                (from_eq ? kV4FromEqPos : 0)));
       if (in_table) {
@@ -598,14 +603,14 @@ void TraceFileWriter::AppendV4(const TraceRecord& r) {
       }
       if (!from_eq) {
         if (in_table) {
-          PutResidual(v4_.seek_froms, r.seek_from, it->second.position);
+          PutResidual(v4_.seek_froms, r.seek_from, open->position);
         } else {
           PutRaw(v4_.seek_froms, r.seek_from);
         }
       }
       PutResidual(v4_.seek_tos, r.seek_to, r.seek_from);
       if (in_table) {
-        it->second.position = r.seek_to;
+        open->position = r.seek_to;
       }
       break;
     }
@@ -628,30 +633,42 @@ void TraceFileWriter::FlushBlockV4() {
   if (block_records_ == 0) {
     return;
   }
-  // Assemble the raw payload: the type stream (its length is the block's
-  // record count, already in the header), then each field stream
-  // length-prefixed, in fixed order.
-  v4_raw_.clear();
-  VecSink raw{v4_raw_};
-  raw.write(v4_.types.data(), v4_.types.size());
-  for (const std::vector<uint8_t>* s :
-       {&v4_.times, &v4_.open_ids, &v4_.file_ids, &v4_.user_ids, &v4_.flags, &v4_.sizes,
-        &v4_.positions, &v4_.seek_froms, &v4_.seek_tos}) {
-    PutVarint(raw, s->size());
-    raw.write(s->data(), s->size());
+  // The raw payload is the type stream (its length is the block's record
+  // count, already in the header), then each field stream length-prefixed,
+  // in fixed order.  The codec takes the streams as its columns and
+  // decompresses to exactly that layout.
+  const std::vector<uint8_t>* const streams[] = {
+      &v4_.types, &v4_.times, &v4_.open_ids, &v4_.file_ids, &v4_.user_ids,
+      &v4_.flags, &v4_.sizes, &v4_.positions, &v4_.seek_froms, &v4_.seek_tos};
+  size_t raw_size = v4_.types.size();
+  for (size_t i = 1; i < std::size(streams); ++i) {
+    raw_size += VarintSize(streams[i]->size()) + streams[i]->size();
   }
-  uint8_t codec = static_cast<uint8_t>(options_.codec);
-  const uint8_t* stored = v4_raw_.data();
-  size_t stored_len = v4_raw_.size();
-  if (options_.codec == TraceCodec::kLz) {
-    v4_stored_.resize(LzMaxCompressedSize(v4_raw_.size()));
-    const size_t n = LzCompress(v4_raw_.data(), v4_raw_.size(), v4_stored_.data());
-    if (n < v4_raw_.size()) {
+  uint8_t codec = static_cast<uint8_t>(TraceCodec::kNone);
+  const uint8_t* stored = nullptr;
+  size_t stored_len = raw_size;
+  if (options_.codec == TraceCodec::kAns) {
+    AnsColumn columns[std::size(streams)];
+    for (size_t i = 0; i < std::size(streams); ++i) {
+      columns[i] = AnsColumn{streams[i]->data(), streams[i]->size()};
+    }
+    v4_stored_.resize(AnsMaxCompressedSize(v4_.payload_size(), std::size(streams)));
+    const size_t n = AnsCompress(columns, std::size(streams), v4_stored_.data());
+    if (n < raw_size) {
+      codec = static_cast<uint8_t>(TraceCodec::kAns);
       stored = v4_stored_.data();
       stored_len = n;
-    } else {
-      codec = static_cast<uint8_t>(TraceCodec::kNone);  // incompressible block
     }
+  }
+  if (stored == nullptr) {  // stored codec, or a block the codec cannot shrink
+    v4_raw_.clear();
+    VecSink raw{v4_raw_};
+    raw.write(v4_.types.data(), v4_.types.size());
+    for (size_t i = 1; i < std::size(streams); ++i) {
+      PutVarint(raw, streams[i]->size());
+      raw.write(streams[i]->data(), streams[i]->size());
+    }
+    stored = v4_raw_.data();
   }
   index_.push_back(TraceBlockIndexEntry{
       .offset = out_.bytes_written(),
@@ -660,12 +677,12 @@ void TraceFileWriter::FlushBlockV4() {
   BufferedSink sink{out_};
   sink.put(kBlockMarker);
   PutVarint(sink, block_records_);
-  PutVarint(sink, v4_raw_.size());
+  PutVarint(sink, raw_size);
   sink.put(codec);
   PutVarint(sink, stored_len);
   PutFixed32(sink, Crc32c(stored, stored_len));
   out_.Write(stored, stored_len);
-  payload_raw_bytes_ += v4_raw_.size();
+  payload_raw_bytes_ += raw_size;
   payload_stored_bytes_ += stored_len;
   block_records_ = 0;
 }
@@ -697,8 +714,26 @@ Status TraceFileWriter::Finish() {
       out_.PutByte(kEndSentinel);
     }
     finished_ = true;
+    finish_status_ = out_.Close();
+    if (finish_status_.ok() && std::rename(temp_path_.c_str(), path_.c_str()) != 0) {
+      finish_status_ = Status::Error("cannot rename " + temp_path_ + " to " + path_ + ": " +
+                                     std::strerror(errno));
+    }
+    if (!finish_status_.ok()) {
+      std::remove(temp_path_.c_str());
+    }
   }
-  return out_.Close();
+  return finish_status_;
+}
+
+void TraceFileWriter::Abandon() {
+  if (finished_) {
+    return;
+  }
+  finished_ = true;
+  out_.Close();
+  std::remove(temp_path_.c_str());
+  finish_status_ = Status::Error("trace write abandoned: " + path_);
 }
 
 TraceFileReader::TraceFileReader(const std::string& path, bool prefer_mmap)
@@ -858,7 +893,7 @@ namespace {
 // still untrusted.  Returns false on any malformed layout — wrong stream
 // lengths, bad types, truncated varints, or streams not consumed exactly.
 bool DecodeBlockV4(const uint8_t* raw, size_t raw_len, uint64_t record_count,
-                   std::vector<TraceRecord>* out) {
+                   MtfDecoder* file_mtf, MtfDecoder* user_mtf, std::vector<TraceRecord>* out) {
   if (record_count > raw_len) {
     return false;  // the type stream alone needs one byte per record
   }
@@ -913,38 +948,24 @@ bool DecodeBlockV4(const uint8_t* raw, size_t raw_len, uint64_t record_count,
     uint64_t size = 0;
     uint64_t position = 0;
   };
-  std::unordered_map<uint64_t, OpenInfo> open_table;
+  U64FlatMap<OpenInfo> open_table;
   std::vector<uint64_t> open_lru;
-  std::vector<uint64_t> file_mtf, user_mtf;
-  std::unordered_map<uint64_t, uint64_t> file_size;
-  auto mtf_get = [](ByteCursor& c, std::vector<uint64_t>* mtf, uint64_t* value) {
-    uint64_t v = 0;
-    if (!GetVarint(c, &v)) {
+  U64FlatMap<uint64_t> file_size(1024);
+  file_mtf->Clear();
+  user_mtf->Clear();
+  auto mtf_get = [](ByteCursor& c, MtfDecoder* mtf, uint64_t* value) {
+    uint64_t code = 0;
+    if (!GetVarint(c, &code) || (code == 0 && !GetVarint(c, value))) {
       return false;
     }
-    if (v == 0) {
-      if (!GetVarint(c, value)) {
-        return false;
-      }
-      if (mtf->size() >= kV4MtfCap) {
-        mtf->pop_back();
-      }
-    } else {
-      if (v > mtf->size()) {
-        return false;
-      }
-      *value = (*mtf)[v - 1];
-      mtf->erase(mtf->begin() + static_cast<ptrdiff_t>(v - 1));
-    }
-    mtf->insert(mtf->begin(), *value);
-    return true;
+    return mtf->Decode(code, value);
   };
   auto size_get = [&](ByteCursor& c, uint64_t file_id, uint64_t* value) {
-    auto fs = file_size.find(file_id);
-    if (!residual(c, fs == file_size.end() ? 0 : fs->second, value)) {
+    uint64_t& last = file_size[file_id];  // 0 for a file new to the block
+    if (!residual(c, last, value)) {
       return false;
     }
-    file_size[file_id] = *value;
+    last = *value;
     return true;
   };
   out->reserve(out->size() + static_cast<size_t>(std::min<uint64_t>(record_count, 1u << 20)));
@@ -970,13 +991,13 @@ bool DecodeBlockV4(const uint8_t* raw, size_t raw_len, uint64_t record_count,
       case EventType::kCreate: {
         uint64_t user = 0;
         if (!delta(open_ids, &prev_open, &r.open_id) ||
-            !mtf_get(file_ids, &file_mtf, &r.file_id) || !mtf_get(user_ids, &user_mtf, &user) ||
+            !mtf_get(file_ids, file_mtf, &r.file_id) || !mtf_get(user_ids, user_mtf, &user) ||
             !size_get(sizes, r.file_id, &r.size) || !GetVarint(positions, &r.position)) {
           return false;
         }
         r.user_id = static_cast<UserId>(user);
         r.mode = static_cast<AccessMode>(mode_bits);
-        if (open_table.count(r.open_id) != 0) {
+        if (open_table.Find(r.open_id) != nullptr) {
           open_lru.erase(std::find(open_lru.begin(), open_lru.end(), r.open_id));
         }
         open_table[r.open_id] = {r.file_id, r.size, r.position};
@@ -988,30 +1009,30 @@ bool DecodeBlockV4(const uint8_t* raw, size_t raw_len, uint64_t record_count,
         if (f < 0 || (f & ~(kV4InTable | kV4PosEqSize | kV4SizeEqOpen)) != 0) {
           return false;
         }
-        auto it = open_table.end();
+        OpenInfo* open = nullptr;
         if (f & kV4InTable) {
           uint64_t rank = 0;
           if (!GetVarint(open_ids, &rank) || rank >= open_lru.size()) {
             return false;
           }
           r.open_id = open_lru[rank];
-          it = open_table.find(r.open_id);
-          if (it == open_table.end()) {
+          open = open_table.Find(r.open_id);
+          if (open == nullptr) {
             return false;  // unreachable: the LRU list mirrors the table keys
           }
-          r.file_id = it->second.file_id;
+          r.file_id = open->file_id;
           open_lru.erase(open_lru.begin() + static_cast<ptrdiff_t>(rank));
         } else if (!delta(open_ids, &prev_open, &r.open_id) ||
-                   !mtf_get(file_ids, &file_mtf, &r.file_id)) {
+                   !mtf_get(file_ids, file_mtf, &r.file_id)) {
           return false;
         }
         if (f & kV4SizeEqOpen) {
           if ((f & kV4InTable) == 0) {
             return false;
           }
-          r.size = it->second.size;
+          r.size = open->size;
         } else if (f & kV4InTable) {
-          if (!residual(sizes, it->second.size, &r.size)) {
+          if (!residual(sizes, open->size, &r.size)) {
             return false;
           }
         } else if (!GetVarint(sizes, &r.size)) {
@@ -1023,7 +1044,7 @@ bool DecodeBlockV4(const uint8_t* raw, size_t raw_len, uint64_t record_count,
           return false;
         }
         if (f & kV4InTable) {
-          open_table.erase(it);
+          open_table.Erase(r.open_id);
           file_size[r.file_id] = r.size;
         }
         break;
@@ -1033,31 +1054,31 @@ bool DecodeBlockV4(const uint8_t* raw, size_t raw_len, uint64_t record_count,
         if (f < 0 || (f & ~(kV4InTable | kV4FromEqPos)) != 0) {
           return false;
         }
-        auto it = open_table.end();
+        OpenInfo* open = nullptr;
         if (f & kV4InTable) {
           uint64_t rank = 0;
           if (!GetVarint(open_ids, &rank) || rank >= open_lru.size()) {
             return false;
           }
           r.open_id = open_lru[rank];
-          it = open_table.find(r.open_id);
-          if (it == open_table.end()) {
+          open = open_table.Find(r.open_id);
+          if (open == nullptr) {
             return false;  // unreachable: the LRU list mirrors the table keys
           }
-          r.file_id = it->second.file_id;
+          r.file_id = open->file_id;
           open_lru.erase(open_lru.begin() + static_cast<ptrdiff_t>(rank));
           open_lru.insert(open_lru.begin(), r.open_id);
         } else if (!delta(open_ids, &prev_open, &r.open_id) ||
-                   !mtf_get(file_ids, &file_mtf, &r.file_id)) {
+                   !mtf_get(file_ids, file_mtf, &r.file_id)) {
           return false;
         }
         if (f & kV4FromEqPos) {
           if ((f & kV4InTable) == 0) {
             return false;
           }
-          r.seek_from = it->second.position;
+          r.seek_from = open->position;
         } else if (f & kV4InTable) {
-          if (!residual(seek_froms, it->second.position, &r.seek_from)) {
+          if (!residual(seek_froms, open->position, &r.seek_from)) {
             return false;
           }
         } else if (!GetVarint(seek_froms, &r.seek_from)) {
@@ -1067,13 +1088,13 @@ bool DecodeBlockV4(const uint8_t* raw, size_t raw_len, uint64_t record_count,
           return false;
         }
         if (f & kV4InTable) {
-          it->second.position = r.seek_to;
+          open->position = r.seek_to;
         }
         break;
       }
       case EventType::kUnlink: {
         uint64_t user = 0;
-        if (!mtf_get(file_ids, &file_mtf, &r.file_id) || !mtf_get(user_ids, &user_mtf, &user)) {
+        if (!mtf_get(file_ids, file_mtf, &r.file_id) || !mtf_get(user_ids, user_mtf, &user)) {
           return false;
         }
         r.user_id = static_cast<UserId>(user);
@@ -1082,7 +1103,7 @@ bool DecodeBlockV4(const uint8_t* raw, size_t raw_len, uint64_t record_count,
       case EventType::kTruncate:
       case EventType::kExecve: {
         uint64_t user = 0;
-        if (!mtf_get(file_ids, &file_mtf, &r.file_id) || !mtf_get(user_ids, &user_mtf, &user) ||
+        if (!mtf_get(file_ids, file_mtf, &r.file_id) || !mtf_get(user_ids, user_mtf, &user) ||
             !size_get(sizes, r.file_id, &r.size)) {
           return false;
         }
@@ -1150,8 +1171,11 @@ bool TraceFileReader::NextV4(TraceRecord* record) {
         stored_len > kMaxBlockPayload || record_count > raw_len) {
       return FailCorrupt("corrupt v4 block header");
     }
+    if (codec_byte == kRetiredLzCodec) {
+      return FailCorrupt("v4 block: codec id 1 (lz) is retired and can no longer be read");
+    }
     if (codec_byte != static_cast<int>(TraceCodec::kNone) &&
-        codec_byte != static_cast<int>(TraceCodec::kLz)) {
+        codec_byte != static_cast<int>(TraceCodec::kAns)) {
       return FailCorrupt("v4 block: unknown codec id");
     }
     const uint32_t expected_crc = ReadFixed32(crc_bytes);
@@ -1182,12 +1206,12 @@ bool TraceFileReader::NextV4(TraceRecord* record) {
       }
     } else {
       scratch_.resize(raw_len);
-      if (!LzDecompress(stored, stored_len, scratch_.data(), raw_len)) {
+      if (!AnsDecompress(stored, stored_len, scratch_.data(), raw_len)) {
         return FailCorrupt("v4 block: decompressed size disagrees with header");
       }
       raw = scratch_.data();
     }
-    if (!DecodeBlockV4(raw, raw_len, record_count, &v4_records_)) {
+    if (!DecodeBlockV4(raw, raw_len, record_count, &v4_file_mtf_, &v4_user_mtf_, &v4_records_)) {
       v4_records_.clear();  // no partial records from a malformed block
       return FailCorrupt("corrupt v4 block: record decode failed after checksum");
     }
@@ -1284,7 +1308,7 @@ Status SaveTrace(const std::string& path, TraceSource& source,
     writer.Append(r);
   }
   if (!source.status().ok()) {
-    writer.Finish();  // close the partial file; the source error wins
+    writer.Abandon();  // publish no partial trace; the source error wins
     return source.status();
   }
   return writer.Finish();

@@ -50,7 +50,8 @@
 //             u8      1 (block marker)
 //             varint  record count in the block (>= 1)
 //             varint  raw payload length (before compression)
-//             u8      codec id (TraceCodec: 0 = stored, 1 = LZ)
+//             u8      codec id (TraceCodec: 0 = stored, 2 = per-column
+//                     rANS; 1 was the retired LZ codec, rejected on read)
 //             varint  stored payload length (== raw length when stored)
 //             u32le   CRC32C of the STORED payload (corruption is caught
 //                     before any decompressor sees the bytes)
@@ -69,16 +70,19 @@
 // rank-code the open id, omit the file id, and predict seek-from from the
 // table's last position.  File and user ids are Zipfian references, so they
 // go through block-local move-to-front lists (rank+1 on a hit, 0 + the full
-// value on a miss); open/truncate/execve sizes are residuals against the
-// file's last size seen in the block.  What remains is low-entropy rather
-// than literally repetitive, so the block codec (lz_codec.h) entropy-codes
-// the streams; blocks the codec fails to shrink are stored raw (codec 0), so
-// v4 never expands.  All prediction state — prevs, the open table, the MTF
-// lists, the size map — resets at each block start, so blocks stay
-// independently decodable (a close whose open lies in an earlier block
-// simply codes its fields explicitly) and the footer index keeps working
-// for SeekableTraceSource and the parallel analyzer — each worker
-// decompresses its own blocks.
+// value on a miss; move_to_front.h); open/truncate/execve sizes are
+// residuals against the file's last size seen in the block.  What remains is
+// low-entropy rather than literally repetitive, so the block codec
+// (ans_codec.h) entropy-codes each stream with its own static order-0 model
+// — as bytes, as varint first/continuation bytes, or as indices into a small
+// value dictionary — and the stored payload is that codec's column stream,
+// which decompresses to the raw payload above; blocks the codec fails to
+// shrink are stored raw (codec 0), so v4 never expands.  All prediction
+// state — prevs, the open table, the MTF lists, the size map — resets at
+// each block start, so blocks stay independently decodable (a close whose
+// open lies in an earlier block simply codes its fields explicitly) and the
+// footer index keeps working for SeekableTraceSource and the parallel
+// analyzer — each worker decompresses its own blocks.
 //
 // Varints are LEB128; times are delta-encoded because trace records are in
 // time order, which keeps the common case to 1-3 bytes.  The paper logged
@@ -89,12 +93,13 @@
 
 #include <iosfwd>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "src/trace/ans_codec.h"
 #include "src/trace/io_buffer.h"
-#include "src/trace/lz_codec.h"
+#include "src/trace/move_to_front.h"
 #include "src/trace/trace.h"
+#include "src/util/flat_map.h"
 #include "src/util/status.h"
 
 namespace bsdtrace {
@@ -112,6 +117,11 @@ inline constexpr size_t kMaxRecordEncoding = 64;
 inline constexpr char kTraceIndexTailMagic[8] = {'B', 'S', 'D', 'I', 'D', 'X', '3', '\n'};
 inline constexpr size_t kTraceIndexTailSize = 16;
 
+// Sanity cap on a declared v3/v4 block payload: anything larger is
+// corruption, not a real block (writers target ~256 KB), so readers never
+// allocate more than this for one block.
+inline constexpr uint64_t kMaxBlockPayload = uint64_t{1} << 30;
+
 // How TraceFileWriter frames the record stream.  Version 2 (the default) is
 // the flat record stream; version 3 adds checksummed blocks and the footer
 // index described in the file comment; version 4 adds the columnar delta
@@ -126,7 +136,7 @@ struct TraceWriterOptions {
   bool write_index = true;
   // v4: block payload codec.  Blocks a codec fails to shrink are stored raw
   // (each block header carries its own codec id), so v4 never expands.
-  TraceCodec codec = TraceCodec::kLz;
+  TraceCodec codec = TraceCodec::kAns;
 };
 
 // One footer index entry: where a block starts, how many records it holds,
@@ -144,6 +154,12 @@ struct TraceBlockIndexEntry {
 // known up front.  TraceWriterOptions{} writes v2.  Call Finish() for the
 // end sentinel and the final write status; the destructor finishes but
 // swallows the status.
+//
+// Publication is atomic: the bytes go to `<path>.tmp-<pid>`, which a
+// successful Finish() renames onto `path`.  A failed write or rename removes
+// the temporary file, and a killed process leaves at most the temporary
+// file — never a half-written trace at `path`.  Readers must therefore not
+// open `path` before its writer has finished.
 class TraceFileWriter : public TraceSink {
  public:
   TraceFileWriter(const std::string& path, const TraceHeader& header,
@@ -155,6 +171,10 @@ class TraceFileWriter : public TraceSink {
 
   void Append(const TraceRecord& record) override;
   Status Finish();
+  // Closes and deletes the unfinished file instead of publishing it, for a
+  // caller whose record source failed mid-stream; nothing appears at the
+  // path, and a later Finish() returns an error.
+  void Abandon();
 
   const Status& status() const { return out_.status(); }
   uint64_t records_written() const { return records_written_; }
@@ -172,7 +192,10 @@ class TraceFileWriter : public TraceSink {
   void AppendV4(const TraceRecord& record);
   void FlushBlockV4();
 
+  std::string path_;
+  std::string temp_path_;  // where the bytes go until Finish() publishes them
   BufferedWriter out_;
+  Status finish_status_ = Status::Ok();
   TraceWriterOptions options_;
   int64_t prev_time_us_ = 0;
   uint64_t records_written_ = 0;
@@ -207,18 +230,18 @@ class TraceFileWriter : public TraceSink {
       uint64_t size = 0;
       uint64_t position = 0;
     };
-    std::unordered_map<uint64_t, OpenInfo> open_table;
+    U64FlatMap<OpenInfo> open_table;
     // Recency list over the open table's keys (most recent first): in-table
     // closes and seeks code their open id as a rank in this list, which is
     // tiny for the common close-what-you-just-opened pattern.
     std::vector<uint64_t> open_lru;
     // Move-to-front lists for file and user ids: references are Zipfian, so
     // recency ranks code far smaller than value deltas.
-    std::vector<uint64_t> file_mtf;
-    std::vector<uint64_t> user_mtf;
+    MtfEncoder file_mtf;
+    MtfEncoder user_mtf;
     // file id -> last size seen in this block; open/truncate/execve sizes
     // are coded as residuals against it (files rarely change size).
-    std::unordered_map<uint64_t, uint64_t> file_size;
+    U64FlatMap<uint64_t> file_size;
 
     size_t payload_size() const;
     void Clear();
@@ -297,11 +320,14 @@ class TraceFileReader {
   std::vector<uint8_t> scratch_;
 
   // v4 state: the current block's records (decoded whole after CRC +
-  // decompression) and the stored-bytes scratch for unmapped reads.  The v3
-  // scratch_ doubles as the decompression buffer.
+  // decompression), the stored-bytes scratch for unmapped reads, and the
+  // file/user move-to-front lists, reset per block.  The v3 scratch_
+  // doubles as the decompression buffer.
   std::vector<TraceRecord> v4_records_;
   size_t v4_next_ = 0;
   std::vector<uint8_t> v4_stored_scratch_;
+  MtfDecoder v4_file_mtf_;
+  MtfDecoder v4_user_mtf_;
   uint32_t codecs_seen_ = 0;
   uint64_t payload_stored_bytes_ = 0;
   uint64_t payload_raw_bytes_ = 0;

@@ -79,8 +79,8 @@ struct TraceFileCheck {
   uint64_t indexed_records = 0;  // record total the footer index claims
   SimTime last_time;             // time of the last decoded record
   // Payload accounting across verified blocks: bytes as stored on disk
-  // (compressed for v4 LZ blocks) and after decompression; equal for v3.
-  // `codec` names the block codecs seen: "none", "lz", "mixed" (a v4 file
+  // (compressed for v4 rANS blocks) and after decompression; equal for v3.
+  // `codec` names the block codecs seen: "none", "ans", "mixed" (a v4 file
   // whose incompressible blocks fell back to stored), or "-" for v1-v3.
   uint64_t payload_stored_bytes = 0;
   uint64_t payload_raw_bytes = 0;

@@ -48,6 +48,16 @@ class FlatMap {
 
   size_t size() const { return size_; }
 
+  // Removes every entry; the cell array keeps its size.
+  void Clear() {
+    if (size_ > 0) {
+      for (Cell& cell : cells_) {
+        cell.key = empty_key_;
+      }
+      size_ = 0;
+    }
+  }
+
   static constexpr size_t npos = ~size_t{0};
 
   // Cell-index interface: callers that store one entry per key and keep a
@@ -198,6 +208,56 @@ struct IdHash {
     const uint64_t h = id * 0x9E3779B97F4A7C15ull;
     return static_cast<size_t>(h ^ (h >> 29));
   }
+};
+
+// A FlatMap over the full uint64_t key range, for keys read from untrusted
+// data where no value can be reserved: the one key FlatMap uses as its empty
+// marker keeps its entry beside the table.
+template <typename Value>
+class U64FlatMap {
+ public:
+  explicit U64FlatMap(size_t min_cells = 16) : map_(kSpareKey, min_cells) {}
+
+  size_t size() const { return map_.size() + (has_spare_ ? 1 : 0); }
+
+  void Clear() {
+    map_.Clear();
+    has_spare_ = false;
+  }
+
+  // Returns the value for `key`, or nullptr; invalidated by insert/erase.
+  Value* Find(uint64_t key) {
+    if (key == kSpareKey) {
+      return has_spare_ ? &spare_ : nullptr;
+    }
+    return map_.Find(key);
+  }
+
+  Value& operator[](uint64_t key) {
+    if (key == kSpareKey) {
+      if (!has_spare_) {
+        has_spare_ = true;
+        spare_ = Value{};
+      }
+      return spare_;
+    }
+    return map_[key];
+  }
+
+  bool Erase(uint64_t key) {
+    if (key == kSpareKey) {
+      const bool had = has_spare_;
+      has_spare_ = false;
+      return had;
+    }
+    return map_.Erase(key);
+  }
+
+ private:
+  static constexpr uint64_t kSpareKey = ~uint64_t{0};
+  FlatMap<uint64_t, Value, IdHash> map_;
+  Value spare_{};
+  bool has_spare_ = false;
 };
 
 }  // namespace bsdtrace

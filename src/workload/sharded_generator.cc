@@ -389,12 +389,11 @@ StatusOr<uint64_t> DrainToFile(MergedStream& merged, const std::string& path,
   if (!writer.status().ok()) {
     return writer.status();
   }
-  const Status drained = Drain(merged, writer);
-  const Status finished = writer.Finish();
-  if (!drained.ok()) {
+  if (const Status drained = Drain(merged, writer); !drained.ok()) {
+    writer.Abandon();
     return drained;
   }
-  if (!finished.ok()) {
+  if (const Status finished = writer.Finish(); !finished.ok()) {
     return finished;
   }
   return writer.bytes_written();

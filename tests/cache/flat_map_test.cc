@@ -27,6 +27,55 @@ TEST(FlatMap, InsertFindErase) {
   EXPECT_EQ(map.size(), 0u);
 }
 
+TEST(FlatMap, ClearEmptiesAndStaysUsable) {
+  FlatMap<uint64_t, int, IdHash> map(0);
+  for (uint64_t k = 1; k <= 100; ++k) {
+    map[k] = static_cast<int>(k);
+  }
+  map.Clear();
+  EXPECT_EQ(map.size(), 0u);
+  EXPECT_EQ(map.Find(50), nullptr);
+  map[50] = 5;
+  EXPECT_EQ(*map.Find(50), 5);
+  EXPECT_EQ(map.size(), 1u);
+}
+
+// Every 64-bit key works, including the one FlatMap reserves internally.
+TEST(U64FlatMap, MatchesUnorderedMapOverTheFullKeyRange) {
+  U64FlatMap<uint64_t> map;
+  std::unordered_map<uint64_t, uint64_t> reference;
+  Rng rng(41);
+  const uint64_t special[] = {0, 1, UINT64_MAX, UINT64_MAX - 1};
+  for (int i = 0; i < 20'000; ++i) {
+    const uint64_t key = rng.UniformInt(0, 3) == 0
+                             ? special[rng.UniformInt(0, 3)]
+                             : static_cast<uint64_t>(rng.UniformInt(0, 500));
+    switch (rng.UniformInt(0, 2)) {
+      case 0:
+        map[key] = static_cast<uint64_t>(i);
+        reference[key] = static_cast<uint64_t>(i);
+        break;
+      case 1:
+        ASSERT_EQ(map.Erase(key), reference.erase(key) == 1);
+        break;
+      default: {
+        const uint64_t* found = map.Find(key);
+        const auto it = reference.find(key);
+        ASSERT_EQ(found != nullptr, it != reference.end());
+        if (found != nullptr) {
+          ASSERT_EQ(*found, it->second);
+        }
+        break;
+      }
+    }
+    ASSERT_EQ(map.size(), reference.size());
+    if (i % 5'000 == 4'999) {
+      map.Clear();
+      reference.clear();
+    }
+  }
+}
+
 TEST(FlatMap, FindOrInsertKeepsExisting) {
   FlatMap<uint64_t, int, IdHash> map(0);
   EXPECT_EQ(map.FindOrInsert(5, 10), 10);

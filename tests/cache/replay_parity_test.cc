@@ -158,11 +158,10 @@ void ReplayWithZeroLengthTransfers(const ReplayLog& log, bool pagein, Engine& en
   engine.Finish();
 }
 
-// Every feed-driven engine against the direct reference simulator on the
-// edge-case trace, both billing bounds: the single level, fused lanes, the
+// Every feed-driven engine against the direct reference simulator on a
+// hand-built trace, both billing bounds: the single level, fused lanes, the
 // degenerate hierarchy and the Mattson fetch-miss column.
-TEST(ReplayParity, HandBuiltEdgeCasesEveryEngine) {
-  const Trace trace = EdgeCaseTrace();
+void ExpectEveryEngineMatches(const Trace& trace) {
   const std::vector<FusedCacheSimulator::PolicyLane> lanes = {
       {WritePolicy::kWriteThrough, Duration::Seconds(30)},
       {WritePolicy::kFlushBack, Duration::Seconds(30)},
@@ -211,6 +210,30 @@ TEST(ReplayParity, HandBuiltEdgeCasesEveryEngine) {
           << label << " / Mattson";
     }
   }
+}
+
+TEST(ReplayParity, HandBuiltEdgeCasesEveryEngine) { ExpectEveryEngineMatches(EdgeCaseTrace()); }
+
+// A non-zero truncate of a cached file lowers its known extent, and that
+// lowered extent alone decides a later fetch: once a 32 MB read has evicted
+// the file from every cache, a partial write of block 0 must fetch the block
+// (it lies below the new 10 KB extent).  Replay feeds that forget the file
+// on truncate instead of lowering its extent skip the fetch.
+Trace TruncateThenRefetchTrace() {
+  TraceBuilder b;
+  b.WholeWrite(1.0, 2.0, 1, 30, 64 << 10);
+  b.Truncate(3.0, 30, 10 << 10);
+  b.WholeRead(4.0, 5.0, 2, 31, 32 << 20);
+  b.Open(6.0, 3, 30, 10 << 10, AccessMode::kWriteOnly);
+  b.Close(7.0, 3, 30, 100, 10 << 10);  // writes bytes [0, 100)
+  b.WholeRead(700.0, 701.0, 4, 30, 10 << 10);
+  return b.Build();
+}
+
+TEST(ReplayParity, TruncatedExtentDecidesALaterFetchEveryEngine) {
+  const Trace trace = TruncateThenRefetchTrace();
+  CheckAllConfigs(trace);
+  ExpectEveryEngineMatches(trace);
 }
 
 // With metadata simulation on, replay must also reproduce the i-node and

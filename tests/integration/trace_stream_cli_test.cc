@@ -367,9 +367,9 @@ int RunStdout(const std::vector<std::string>& args, std::string* out) {
 }
 
 // The four whole-trace commands on a v3 (--compress=none) and a v4
-// (--compress=lz) generated file.
+// (--compress=ans) generated file.
 TEST(TraceStreamCli, ValidateSliceUsersTopOnV3AndV4) {
-  for (const std::string compress : {"none", "lz"}) {
+  for (const std::string compress : {"none", "ans"}) {
     const std::string in = TempPath("cli_whole_" + compress + ".trc");
     const std::string cut = TempPath("cli_whole_" + compress + "_slice.trc");
     ASSERT_EQ(RunCli({"generate", in, "--profile=A5", "--hours=0.5", "--shards=2",
@@ -377,7 +377,7 @@ TEST(TraceStreamCli, ValidateSliceUsersTopOnV3AndV4) {
               0);
     {
       TraceFileReader reader(in);
-      EXPECT_EQ(reader.version(), compress == "lz" ? 4 : 3);
+      EXPECT_EQ(reader.version(), compress == "ans" ? 4 : 3);
     }
     auto loaded = LoadTrace(in);
     ASSERT_TRUE(loaded.ok()) << loaded.status().message();
@@ -469,11 +469,15 @@ TEST(TraceStreamCli, WholeTraceCommandUsageErrors) {
   // slice shares import's --compress; the others take no flags.
   EXPECT_EQ(RunCaptured({"slice", in, cut, "0", "10", "--compress=zip"}, &err), 2);
   EXPECT_NE(err.find("invalid --compress"), std::string::npos) << err;
-  EXPECT_EQ(RunCaptured({"users", in, "--compress=lz"}, &err), 2);
+  // The retired codec's name is no alias: the usage error names the new one.
+  EXPECT_EQ(RunCaptured({"slice", in, cut, "0", "10", "--compress=lz"}, &err), 2);
+  EXPECT_NE(err.find("invalid --compress \"lz\""), std::string::npos) << err;
+  EXPECT_NE(err.find("--compress=none|ans"), std::string::npos) << err;
+  EXPECT_EQ(RunCaptured({"users", in, "--compress=ans"}, &err), 2);
   EXPECT_NE(err.find("not accepted"), std::string::npos) << err;
   std::string help;
   EXPECT_EQ(RunStdout({"slice", "--help"}, &help), 0);
-  EXPECT_NE(help.find("--compress=none|lz"), std::string::npos) << help;
+  EXPECT_NE(help.find("--compress=none|ans"), std::string::npos) << help;
 
   // A missing input is a runtime failure (exit 1), not usage.
   for (const std::string cmd : {"validate", "users", "top"}) {

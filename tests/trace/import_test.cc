@@ -4,7 +4,7 @@
 // follows the documented rules, and malformed input fails with a clean
 // Status naming the offending line — never a crash or a silent partial
 // import (exercised by a random-mutation drill in the spirit of
-// lz_codec_test).
+// ans_codec_test).
 
 #include <fstream>
 #include <sstream>

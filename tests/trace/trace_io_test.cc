@@ -1,6 +1,10 @@
 #include "src/trace/trace_io.h"
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -400,6 +404,70 @@ TEST(TraceFileIo, LoadMissingFileFails) {
 
 TEST(TraceFileIo, SaveToBadPathFails) {
   EXPECT_FALSE(SaveTrace("/nonexistent/dir/out.trace", SampleTrace()).ok());
+}
+
+bool PathExists(const std::string& path) {
+  std::error_code ec;
+  return std::filesystem::exists(path, ec);
+}
+
+// Writers publish atomically: the bytes sit in "<path>.tmp-<pid>" until
+// Finish() renames them onto the path.
+TEST(TraceFileIo, WriterPublishesOnlyOnFinish) {
+  const std::string path = TempPath("trace_io_atomic.trc");
+  const std::string temp = path + ".tmp-" + std::to_string(::getpid());
+  const Trace trace = MixedTrace(3, 20'000);
+  TraceFileWriter writer(path, trace.header(), -1, {.version = 4});
+  for (const TraceRecord& r : trace.records()) {
+    writer.Append(r);
+  }
+  EXPECT_FALSE(PathExists(path));
+  EXPECT_TRUE(PathExists(temp));
+  ASSERT_TRUE(writer.Finish().ok());
+  EXPECT_TRUE(PathExists(path));
+  EXPECT_FALSE(PathExists(temp));
+  auto loaded = LoadTrace(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  EXPECT_EQ(loaded.value(), trace);
+  std::remove(path.c_str());
+}
+
+TEST(TraceFileIo, AbandonedWriteLeavesNoFile) {
+  const std::string path = TempPath("trace_io_abandoned.trc");
+  const Trace trace = SampleTrace();
+  TraceFileWriter writer(path, trace.header());
+  for (const TraceRecord& r : trace.records()) {
+    writer.Append(r);
+  }
+  writer.Abandon();
+  EXPECT_FALSE(writer.Finish().ok());
+  EXPECT_FALSE(PathExists(path));
+  EXPECT_FALSE(PathExists(path + ".tmp-" + std::to_string(::getpid())));
+}
+
+// A process killed mid-write leaves nothing at the final path: the child
+// writes half a trace (enough to flush blocks to disk) and exits without
+// finishing.
+TEST(TraceFileIo, KilledWriterLeavesNoTraceAtThePath) {
+  const std::string path = TempPath("trace_io_killed.trc");
+  const Trace trace = MixedTrace(4, 40'000);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    TraceFileWriter writer(path, trace.header(), static_cast<int64_t>(trace.size()));
+    for (size_t i = 0; i < trace.size() / 2; ++i) {
+      writer.Append(trace.records()[i]);
+    }
+    ::_exit(writer.bytes_written() > BufferedWriter::kBlockSize ? 0 : 3);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 0) << "the child flushed nothing before exiting";
+  EXPECT_FALSE(PathExists(path));
+  const std::string temp = path + ".tmp-" + std::to_string(child);
+  EXPECT_TRUE(PathExists(temp));
+  std::remove(temp.c_str());
 }
 
 // Property: the binary round trip is the identity for arbitrary record

@@ -30,7 +30,7 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-TraceWriterOptions V4(size_t block_target = 16 * 1024, TraceCodec codec = TraceCodec::kLz) {
+TraceWriterOptions V4(size_t block_target = 16 * 1024, TraceCodec codec = TraceCodec::kAns) {
   TraceWriterOptions options;
   options.version = 4;
   options.block_target_bytes = block_target;
@@ -187,7 +187,7 @@ TEST(TraceV4, AllVersionsLoadTheSameRecords) {
   for (const int version : {2, 3, 4}) {
     TraceWriterOptions options;
     options.version = version;
-    options.codec = TraceCodec::kLz;
+    options.codec = TraceCodec::kAns;
     const std::string path = TempPath("v4_compat_" + std::to_string(version) + ".trc");
     ASSERT_TRUE(SaveTrace(path, original, options).ok());
     TraceFileReader reader(path);
@@ -278,6 +278,54 @@ TEST(TraceV4, FlippedStoredByteFailsCleanly) {
   EXPECT_FALSE(reader.status().ok());
   EXPECT_EQ(delivered, index[0].record_count) << "records leaked from the corrupt block";
 
+  const TraceFileCheck check = CheckTraceFile(bad);
+  EXPECT_FALSE(check.status.ok());
+  EXPECT_EQ(check.blocks_verified, 1u);
+}
+
+TEST(TraceV4, RetiredCodecIdFailsCleanly) {
+  // A block claiming codec 1 (the retired LZ codec) with a valid CRC: the
+  // CRC covers the stored bytes only, so relabelling a stored block keeps
+  // it intact, and the reader must refuse the id rather than decode it.
+  const Trace original = WellFormedTrace(4'000);
+  const std::string path = TempPath("v4_retired.trc");
+  std::vector<TraceBlockIndexEntry> index;
+  {
+    TraceFileWriter writer(path, original.header(), static_cast<int64_t>(original.size()),
+                           V4(8 * 1024, TraceCodec::kNone));
+    for (const TraceRecord& r : original.records()) {
+      writer.Append(r);
+    }
+    ASSERT_TRUE(writer.Finish().ok());
+    index = writer.index();
+  }
+  ASSERT_GT(index.size(), 2u);
+  std::string bytes = ReadFileBytes(path);
+  size_t p = index[1].offset + 1;  // past the block marker
+  for (int varint = 0; varint < 2; ++varint) {  // record count, raw length
+    while (static_cast<uint8_t>(bytes[p]) & 0x80) {
+      ++p;
+    }
+    ++p;
+  }
+  ASSERT_EQ(bytes[p], static_cast<char>(TraceCodec::kNone));
+  bytes[p] = 1;
+  const std::string bad = TempPath("v4_retired_relabelled.trc");
+  WriteFileBytes(bad, bytes);
+
+  for (const bool prefer_mmap : {true, false}) {
+    TraceFileReader reader(bad, prefer_mmap);
+    ASSERT_TRUE(reader.status().ok());
+    TraceRecord r;
+    size_t delivered = 0;
+    while (reader.Next(&r)) {
+      ++delivered;
+    }
+    EXPECT_EQ(delivered, index[0].record_count);
+    EXPECT_FALSE(reader.status().ok());
+    EXPECT_NE(reader.status().message().find("retired"), std::string::npos)
+        << reader.status().message();
+  }
   const TraceFileCheck check = CheckTraceFile(bad);
   EXPECT_FALSE(check.status.ok());
   EXPECT_EQ(check.blocks_verified, 1u);
