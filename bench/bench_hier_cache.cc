@@ -1,14 +1,17 @@
 // Bench + hard gate for the client/server cache hierarchy (§7 extension).
 //
-// Two gates, both of which fail the run:
+// Three gates, each of which fails the run:
 //   1. Parity: a client-size-0 HierarchySimulator must be bit-identical to
 //      the single-level CacheSimulator on every server config — the refactor
 //      contract (CacheLevel split + hierarchy driver cost the single-level
 //      path nothing semantically)...
 //   2. Throughput: ...and nearly nothing in time: the degenerate hierarchy
 //      replay must stay within 1.2x of the plain single-level replay over
-//      the same configs.  RunHierarchySweep's internal fused-vs-hierarchy
-//      cross-check must also hold.
+//      the same configs.
+//   3. Sweep: every row of the §7 grid, whether served by a fused lane or by
+//      a client replay fanned out to every server size, must be bit-
+//      identical on every level to its own per-row SimulateHierarchy replay,
+//      and RunHierarchySweep's internal parity flag must hold.
 //
 // The workload is a small fleet (2xA5 + 1xE3) so the hierarchy rows exercise
 // real multi-client attribution.  Emits one JSON line (stdout +
@@ -115,10 +118,22 @@ int main() {
   const bool fast_enough = ratio <= kMaxRatio;
 
   // The full §7 grid, threaded; its internal parity flag re-checks every
-  // fused client-0 group against a degenerate hierarchy replay.
+  // fused client-0 group against a degenerate hierarchy replay and one
+  // fanned-out row against its per-row replay.
+  const std::vector<HierarchyConfig> grid = HierarchySweepConfigs();
   const auto sweep_start = std::chrono::steady_clock::now();
-  const HierarchySweepResult sweep = RunHierarchySweep(log, HierarchySweepConfigs());
+  const HierarchySweepResult sweep = RunHierarchySweep(log, grid);
   const double sweep_s = SecondsSince(sweep_start);
+  // The per-row reference twin on every row of the grid.
+  size_t rows_differing = 0;
+  for (size_t i = 0; i < grid.size(); ++i) {
+    if (!HierarchyMetricsBitIdentical(SimulateHierarchy(log, grid[i]), sweep.points[i].metrics)) {
+      std::fprintf(stderr, "row %zu (%s) differs from its per-row replay\n", i,
+                   grid[i].ToString().c_str());
+      ++rows_differing;
+    }
+  }
+  const bool rows_identical = rows_differing == 0;
   std::fputs(RenderHierarchySweep(sweep).c_str(), stdout);
   if (const char* dir = std::getenv("BSDTRACE_CSV_DIR")) {
     const std::string path = std::string(dir) + "/hier_sweep.csv";
@@ -135,11 +150,11 @@ int main() {
                 "\"degenerate_configs\":%zu,\"single_replay_s\":%.4f,\"hier0_replay_s\":%.4f,"
                 "\"ratio\":%.3f,\"max_ratio\":%.2f,\"sweep_points\":%zu,\"sweep_s\":%.4f,"
                 "\"fused_replays\":%zu,\"hierarchy_replays\":%zu,"
-                "\"identical\":%s,\"sweep_parity\":%s}",
+                "\"identical\":%s,\"sweep_parity\":%s,\"rows_identical\":%s}",
                 trace.size(), hours, log.instance_count(), degenerate.size(), single_s, hier0_s,
                 ratio, kMaxRatio, sweep.points.size(), sweep_s, sweep.fused_replays,
                 sweep.hierarchy_replays, identical ? "true" : "false",
-                sweep.parity ? "true" : "false");
+                sweep.parity ? "true" : "false", rows_identical ? "true" : "false");
   std::printf("%s\n", json);
   if (std::FILE* f = std::fopen("BENCH_hier_cache.json", "w")) {
     std::fprintf(f, "%s\n", json);
@@ -151,7 +166,12 @@ int main() {
     return 1;
   }
   if (!sweep.parity) {
-    std::fprintf(stderr, "FAIL: fused client-0 lanes diverge from the hierarchy engine\n");
+    std::fprintf(stderr, "FAIL: the hierarchy sweep's internal parity check failed\n");
+    return 1;
+  }
+  if (!rows_identical) {
+    std::fprintf(stderr, "FAIL: %zu of %zu sweep rows diverge from their per-row replay\n",
+                 rows_differing, grid.size());
     return 1;
   }
   if (!fast_enough) {

@@ -15,33 +15,47 @@ std::string HierarchyConfig::ToString() const {
 }
 
 HierarchySimulator::HierarchySimulator(const HierarchyConfig& config, size_t client_count)
-    : ReplayFrontEnd(config.simulate_execve_pagein()), server_(config.server) {
-  assert(!config.client.simulate_metadata && !config.server.simulate_metadata);
-  assert(!config.has_clients() || (config.client.block_size == config.server.block_size &&
-                                    config.client.simulate_execve_pagein ==
-                                        config.server.simulate_execve_pagein));
-  if (config.has_clients()) {
+    : HierarchySimulator(config.client, {config.server}, client_count) {}
+
+HierarchySimulator::HierarchySimulator(const CacheConfig& client,
+                                       const std::vector<CacheConfig>& servers,
+                                       size_t client_count)
+    : ReplayFrontEnd(servers.front().simulate_execve_pagein) {
+  assert(!client.simulate_metadata);
+  for (const CacheConfig& server : servers) {
+    assert(!server.simulate_metadata &&
+           server.simulate_execve_pagein == servers.front().simulate_execve_pagein);
+    assert(client.size_bytes == 0 ||
+           (client.block_size == server.block_size &&
+            client.simulate_execve_pagein == server.simulate_execve_pagein));
+    servers_.emplace_back(server);
+  }
+  if (client.size_bytes > 0) {
     const size_t n = std::max<size_t>(1, client_count);
     for (size_t i = 0; i < n; ++i) {
-      clients_.emplace_back(config.client, ServerLink{&server_});
+      clients_.emplace_back(client, ServerLink{&servers_});
     }
   }
 }
 
 void HierarchySimulator::Invalidate(SimTime now, FileId file, uint64_t first_byte) {
   if (clients_.empty()) {
-    server_.Invalidate(now, file, first_byte);
+    for (ServerLevel& server : servers_) {
+      server.Invalidate(now, file, first_byte);
+    }
     return;
   }
-  server_.AdvanceClock(now);
+  AdvanceServers(now);
   // Fan-out: every client drops the file's blocks (dirty ones silently —
-  // their write-backs never reach the server), then the server drops its
+  // their write-backs never reach the servers), then each server drops its
   // copy.  Invalidate also advances each client's clock, so pending flush
   // scans fire before the removal.
   for (ClientLevel& client : clients_) {
     client.Invalidate(now, file, first_byte);
   }
-  server_.Invalidate(now, file, first_byte);
+  for (ServerLevel& server : servers_) {
+    server.Invalidate(now, file, first_byte);
+  }
 }
 
 void HierarchySimulator::Finish() {
@@ -51,10 +65,13 @@ void HierarchySimulator::Finish() {
   for (ClientLevel& client : clients_) {
     client.Finish();
   }
-  server_.Finish();
+  for (ServerLevel& server : servers_) {
+    server.Finish();
+  }
 }
 
-HierarchyMetrics HierarchySimulator::Collect() const {
+HierarchyMetrics HierarchySimulator::Collect(size_t server) const {
+  assert(server < servers_.size());
   HierarchyMetrics out;
   out.client_count = clients_.size();
   out.clients.reserve(clients_.size());
@@ -73,7 +90,7 @@ HierarchyMetrics HierarchySimulator::Collect() const {
     out.client_total.residency_over_20min += m.residency_over_20min;
     out.client_total.residency_samples += m.residency_samples;
   }
-  out.server = server_.metrics();
+  out.server = servers_[server].metrics();
   return out;
 }
 

@@ -30,6 +30,16 @@
 //     identical to the single-level simulator with the server config — the
 //     parity gate bench_hier_cache enforces.
 //
+// One replay, many server sizes: clients get no feedback from the server,
+// so the stream a client layer sends down does not depend on the server
+// config.  A simulator may therefore carry several server levels behind one
+// client layer: ServerLink forwards every fetch and write-back to each
+// server in order, and clock advances, invalidations and Finish reach every
+// server the same way.  Each server receives exactly the ordered calls it
+// would receive alone, so Collect(k) is bit-identical to a one-server
+// replay of {client, servers[k]} — SimulateHierarchy, the per-row reference
+// twin RunHierarchySweep checks a fanned-out row against.
+//
 // Metadata simulation is not supported (client-local i-node state has no
 // defined server semantics here); both levels must share a block size.
 
@@ -56,7 +66,6 @@ struct HierarchyConfig {
   CacheConfig server;
 
   bool has_clients() const { return client.size_bytes > 0; }
-  bool simulate_execve_pagein() const { return server.simulate_execve_pagein; }
   std::string ToString() const;
 };
 
@@ -85,59 +94,76 @@ struct HierarchyMetrics {
   }
 };
 
-// Drives one hierarchy over an instance-attributed replay.  The replay
-// front end (cache_level.h) supplies the trace semantics — extent feeds,
-// which records invalidate, page-in — exactly as it does for a single
-// CacheLevel, so the no-client topology is bit-identical to the
-// single-level simulator; this class only routes the front end's hooks.
+// Drives one client layer and one or more server levels over an instance-
+// attributed replay.  The replay front end (cache_level.h) supplies the
+// trace semantics — extent feeds, which records invalidate, page-in —
+// exactly as it does for a single CacheLevel, so the no-client topology is
+// bit-identical to the single-level simulator; this class only routes the
+// front end's hooks.
 class HierarchySimulator final : public ReplayFrontEnd<HierarchySimulator> {
  public:
-  // `client_count` clients (clamped up to 1 when the config has a client
-  // layer); pass ReplayLog::instance_count() for fleet traces.
+  // One row: `config`'s client layer over its one server.  `client_count`
+  // clients (clamped up to 1 when the config has a client layer); pass
+  // ReplayLog::instance_count() for fleet traces.
   HierarchySimulator(const HierarchyConfig& config, size_t client_count);
+  // One client layer (none when client.size_bytes == 0) fanned out to every
+  // config in `servers` (nonempty; all agree on page-in, and with a client
+  // layer each matches client.block_size and client.simulate_execve_pagein).
+  HierarchySimulator(const CacheConfig& client, const std::vector<CacheConfig>& servers,
+                     size_t client_count);
+  // ServerLink points at servers_: the simulator cannot move.
+  HierarchySimulator(const HierarchySimulator&) = delete;
+  HierarchySimulator& operator=(const HierarchySimulator&) = delete;
 
   // Front-end hooks.  A transfer goes to the delivering instance's client
-  // (the server clock advances first, so its flush epochs due before `now`
-  // fire before the new traffic the client forwards down).
+  // (the server clocks advance first, so their flush epochs due before
+  // `now` fire before the new traffic the client forwards down).
   void AccessBlocks(SimTime now, FileId file, uint64_t offset, uint64_t length, bool is_write,
                     uint64_t extent) {
     if (clients_.empty()) {
-      server_.AccessBlocks(now, file, offset, length, is_write, extent);
+      for (ServerLevel& server : servers_) {
+        server.AccessBlocks(now, file, offset, length, is_write, extent);
+      }
       return;
     }
-    server_.AdvanceClock(now);
+    AdvanceServers(now);
     ClientFor(instance()).AccessBlocks(now, file, offset, length, is_write, extent);
   }
-  // Fans out to every client and the server.
+  // Fans out to every client and every server.
   void Invalidate(SimTime now, FileId file, uint64_t first_byte);
-  // The owning client follows its own event stream; the server follows the
+  // The owning client follows its own event stream; the servers follow the
   // global stream.
   void AdvanceClock(SimTime now) {
-    server_.AdvanceClock(now);
+    AdvanceServers(now);
     if (!clients_.empty()) {
       ClientFor(instance()).AdvanceClock(now);
     }
   }
   void Finish();
 
-  // Assembles the per-level metrics (call after Finish).
-  HierarchyMetrics Collect() const;
+  // Assembles the per-level metrics of the row over server `server`, an
+  // index into the constructor's server list (call after Finish).
+  HierarchyMetrics Collect(size_t server = 0) const;
 
  private:
   using ServerLevel = CacheLevel<DiskBelow>;
 
-  // The below-policy wiring a client level into the shared server level.
+  // The below-policy wiring a client level into the server levels.
   struct ServerLink {
-    ServerLevel* server = nullptr;
+    std::deque<ServerLevel>* servers = nullptr;
     void OnFetch(SimTime now, const BlockKey& key) {
       // The server must supply the block: a read access.  Reads always
       // fetch on a server miss, so the extent argument is irrelevant.
-      server->AccessBlock(now, key, /*is_write=*/false, /*whole_block=*/false, 0);
+      for (ServerLevel& server : *servers) {
+        server.AccessBlock(now, key, /*is_write=*/false, /*whole_block=*/false, 0);
+      }
     }
     void OnWriteBack(SimTime now, const BlockKey& key) {
       // The client holds the block's full current contents: a whole-block
       // write, which never fetches to complete.
-      server->AccessBlock(now, key, /*is_write=*/true, /*whole_block=*/true, 0);
+      for (ServerLevel& server : *servers) {
+        server.AccessBlock(now, key, /*is_write=*/true, /*whole_block=*/true, 0);
+      }
     }
   };
   using ClientLevel = CacheLevel<ServerLink>;
@@ -145,15 +171,20 @@ class HierarchySimulator final : public ReplayFrontEnd<HierarchySimulator> {
   ClientLevel& ClientFor(uint16_t instance) {
     return clients_[instance < clients_.size() ? instance : 0];
   }
+  void AdvanceServers(SimTime now) {
+    for (ServerLevel& server : servers_) {
+      server.AdvanceClock(now);
+    }
+  }
 
-  ServerLevel server_;
-  // deque: CacheLevel is immovable (BlockCache pins itself), and deque
+  // deques: CacheLevel is immovable (BlockCache pins itself), and deque
   // never relocates constructed elements.
+  std::deque<ServerLevel> servers_;
   std::deque<ClientLevel> clients_;
 };
 
-// Replays `log` through one hierarchy (clients = log.instance_count() when
-// the config has a client layer).
+// Replays `log` through one hierarchy row (clients = log.instance_count()
+// when the config has a client layer).
 HierarchyMetrics SimulateHierarchy(const ReplayLog& log, const HierarchyConfig& config);
 
 }  // namespace bsdtrace

@@ -354,6 +354,19 @@ std::vector<HierarchyConfig> HierarchySweepConfigs() {
   return configs;
 }
 
+bool HierarchyMetricsBitIdentical(const HierarchyMetrics& a, const HierarchyMetrics& b) {
+  if (a.client_count != b.client_count || a.clients.size() != b.clients.size()) {
+    return false;
+  }
+  for (size_t c = 0; c < a.clients.size(); ++c) {
+    if (!CacheMetricsBitIdentical(a.clients[c], b.clients[c])) {
+      return false;
+    }
+  }
+  return CacheMetricsBitIdentical(a.client_total, b.client_total) &&
+         CacheMetricsBitIdentical(a.server, b.server);
+}
+
 HierarchySweepResult RunHierarchySweep(const ReplayLog& log,
                                        const std::vector<HierarchyConfig>& configs,
                                        unsigned threads) {
@@ -368,30 +381,62 @@ HierarchySweepResult RunHierarchySweep(const ReplayLog& log,
 
   // Client-0 rows are single-level server replays: fuse rows sharing server
   // cache state into multi-lane simulators, exactly like RunPlannedSweep.
+  // Client-bearing rows sharing one client config share one client replay:
+  // clients get no feedback from the server, so every server of the group
+  // sees the same stream, and one HierarchySimulator fans it out.
   std::vector<const CacheConfig*> single_level(configs.size(), nullptr);
-  std::vector<size_t> hierarchy_rows;
+  std::map<std::tuple<uint64_t, uint32_t, int, int64_t, int, bool>, std::vector<size_t>>
+      by_client;
   for (size_t i = 0; i < configs.size(); ++i) {
+    const CacheConfig& c = configs[i].client;
     if (configs[i].has_clients()) {
-      hierarchy_rows.push_back(i);
+      by_client[{c.size_bytes, c.block_size, static_cast<int>(c.policy),
+                 c.flush_interval.micros(), static_cast<int>(c.replacement),
+                 c.simulate_execve_pagein}]
+          .push_back(i);
     } else {
       single_level[i] = &configs[i].server;
     }
   }
+  std::vector<std::vector<size_t>> client_groups;
+  client_groups.reserve(by_client.size());
+  for (auto& [key, members] : by_client) {
+    client_groups.push_back(std::move(members));
+  }
   const std::vector<std::vector<size_t>> fused_groups = FusedGroups(single_level);
   result.fused_replays = fused_groups.size();
-  result.hierarchy_replays = hierarchy_rows.size();
+  result.hierarchy_replays = client_groups.size();
 
   // One degenerate-hierarchy parity replay per fused group, compared against
   // the group's first lane after the join.
   std::vector<uint8_t> group_parity(fused_groups.size(), 1);
   std::vector<CacheMetrics> parity_metrics(fused_groups.size());
+  // One per-row replay of a fanned-out row: the last server of the first
+  // client group, so a fan-out that skips later servers cannot pass.
+  const size_t fanned_row = client_groups.empty() ? 0 : client_groups.front().back();
+  HierarchyMetrics fanned_check;
 
   std::vector<std::function<void()>> work;
-  work.reserve(hierarchy_rows.size() + 2 * fused_groups.size());
-  // Hierarchy replays first: each is a full two-level replay, the largest
-  // indivisible items.
-  for (const size_t i : hierarchy_rows) {
-    work.push_back([&, i]() { result.points[i].metrics = SimulateHierarchy(log, configs[i]); });
+  work.reserve(client_groups.size() + 2 * fused_groups.size() + 1);
+  // Hierarchy replays first: each drives a client layer and every server of
+  // its group, the largest indivisible items.
+  for (size_t g = 0; g < client_groups.size(); ++g) {
+    work.push_back([&, g]() {
+      const std::vector<size_t>& members = client_groups[g];
+      std::vector<CacheConfig> servers;
+      servers.reserve(members.size());
+      for (const size_t i : members) {
+        servers.push_back(configs[i].server);
+      }
+      HierarchySimulator sim(configs[members.front()].client, servers, log.instance_count());
+      sim.Replay(log);
+      for (size_t k = 0; k < members.size(); ++k) {
+        result.points[members[k]].metrics = sim.Collect(k);
+      }
+    });
+  }
+  if (!client_groups.empty()) {
+    work.push_back([&]() { fanned_check = SimulateHierarchy(log, configs[fanned_row]); });
   }
   for (size_t g = 0; g < fused_groups.size(); ++g) {
     work.push_back([&, g]() {
@@ -421,6 +466,10 @@ HierarchySweepResult RunHierarchySweep(const ReplayLog& log,
         !CacheMetricsBitIdentical(parity_metrics[g], result.points[i].metrics.server)) {
       result.parity = false;
     }
+  }
+  if (!client_groups.empty() &&
+      !HierarchyMetricsBitIdentical(fanned_check, result.points[fanned_row].metrics)) {
+    result.parity = false;
   }
   return result;
 }

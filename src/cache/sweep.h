@@ -108,14 +108,18 @@ PlannedSweep RunPlannedSweep(const ReplayLog& log, const std::vector<CacheConfig
 // --- Hierarchy sweeps (§7): client size x server size x write policy -------
 //
 // RunHierarchySweep extends the planner to two-level topologies
-// (hierarchy.h).  Rows with a client layer each cost one full hierarchy
-// replay; rows with client size 0 collapse to single-level server replays,
+// (hierarchy.h).  Clients get no feedback from the server, so rows sharing
+// one client config (size, block size, policy, flush interval, replacement,
+// page-in) share one client replay: one HierarchySimulator drives the
+// client layer and fans its server stream out to every server size of the
+// group.  Rows with client size 0 collapse to single-level server replays,
 // which the planner serves through fused multi-lane simulators exactly as
-// RunPlannedSweep does — the client layer "permitting" fusion because the
-// degenerate topology IS the single-level simulator.  For each fused group,
-// one representative row is additionally replayed through the degenerate
-// HierarchySimulator and compared bit-for-bit against the fused lane —
-// the cross-engine `parity` flag bench_hier_cache gates on.
+// RunPlannedSweep does — the degenerate topology IS the single-level
+// simulator.  The `parity` flag bench_hier_cache gates on covers both:
+// each fused group's first row is replayed through the degenerate
+// HierarchySimulator and compared bit-for-bit against its fused lane, and
+// one fanned-out row is replayed alone through SimulateHierarchy and
+// compared bit-for-bit on every level.
 
 struct HierarchyPoint {
   HierarchyConfig config;
@@ -124,16 +128,21 @@ struct HierarchyPoint {
 
 struct HierarchySweepResult {
   std::vector<HierarchyPoint> points;  // one per input config, input order
-  // Every client-0 fused lane matched its degenerate hierarchy replay
-  // bit-for-bit (CacheMetricsBitIdentical on the server metrics).
+  // Every checked client-0 fused lane matched its degenerate hierarchy
+  // replay, and the checked fanned-out row its per-row replay, bit-for-bit.
   bool parity = true;
-  size_t fused_replays = 0;      // fused single-level replays (client-0 rows)
-  size_t hierarchy_replays = 0;  // full two-level replays
+  size_t fused_replays = 0;  // fused single-level replays (client-0 rows)
+  // Two-level replays: one per distinct client config, each fanned out to
+  // every server size of its rows (9 on the default grid, for 45 rows).
+  size_t hierarchy_replays = 0;
 };
 
 // Exact bit-level comparison of every counter including the residency
 // moments (the cross-engine parity currency).
 bool CacheMetricsBitIdentical(const CacheMetrics& a, const CacheMetrics& b);
+// The same over every level of a hierarchy row: client count, each client,
+// the client total and the server.
+bool HierarchyMetricsBitIdentical(const HierarchyMetrics& a, const HierarchyMetrics& b);
 
 // The default §7 grid: client sizes {0, 256 KB, 1 MB, 4 MB} x server sizes
 // {1, 2, 4, 8, 16 MB} x write policies {write-through, flush-back(30s),

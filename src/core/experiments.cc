@@ -691,7 +691,8 @@ std::string RenderHierarchySweep(const HierarchySweepResult& result) {
   }
   out << plot.Render();
   out << "hierarchy sweep: " << result.fused_replays << " fused replay(s), "
-      << result.hierarchy_replays << " hierarchy replay(s); client-0 parity "
+      << result.hierarchy_replays
+      << " hierarchy replay(s) (one per client configuration); fused and fan-out parity "
       << (result.parity ? "OK" : "FAILED") << "\n";
   return out.str();
 }

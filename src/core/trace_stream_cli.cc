@@ -538,8 +538,10 @@ int CmdAnalyze(int argc, const char* const* argv) {
       return 1;
     }
     if (opt.sweep == "hier") {
-      // §7: client size x server size x client write policy, client-0 rows
-      // served by fused single-level replays with a cross-engine parity gate.
+      // §7: client size x server size x client write policy, one client
+      // replay per client configuration fanned out to every server size,
+      // client-0 rows served by fused single-level replays; both engines
+      // are cross-checked against per-row replays (the parity gate).
       const HierarchySweepResult result = RunHierarchySweep(
           log.value(), HierarchySweepConfigs(), static_cast<unsigned>(opt.threads));
       std::fputs(RenderHierarchySweep(result).c_str(), stdout);
@@ -1060,7 +1062,11 @@ int CmdInfo(const char* path) {
                 static_cast<unsigned long long>(check.blocks_verified),
                 check.ok() ? "verified" : "scanned before failure");
   }
-  if (check.version >= 4) {
+  if (check.version >= 4 && check.blocks_verified == 0 && !check.ok()) {
+    // Codec and ratio come from verified blocks: when the first one fails,
+    // both are unknown (an intact empty file has no blocks and says "none").
+    std::printf("codec:       unknown (no block verified)\n");
+  } else if (check.version >= 4) {
     std::printf("codec:       %s\n", check.codec.c_str());
     std::printf("compressed:  %llu bytes stored / %llu bytes raw (%.2fx)\n",
                 static_cast<unsigned long long>(check.payload_stored_bytes),

@@ -230,8 +230,10 @@ TEST(HierarchySweep, GridShapeAndParity) {
   const HierarchySweepResult result = RunHierarchySweep(log, configs, /*threads=*/4);
   ASSERT_EQ(result.points.size(), configs.size());
   EXPECT_TRUE(result.parity);
-  EXPECT_GT(result.fused_replays, 0u);
-  EXPECT_GT(result.hierarchy_replays, 0u);
+  // 5 server sizes fuse the client-0 policies; 3 client sizes x 3 client
+  // policies are one client replay each, fanned out to the 5 server sizes.
+  EXPECT_EQ(result.fused_replays, 5u);
+  EXPECT_EQ(result.hierarchy_replays, 9u);
 
   for (size_t i = 0; i < configs.size(); ++i) {
     const HierarchyPoint& p = result.points[i];
@@ -244,6 +246,44 @@ TEST(HierarchySweep, GridShapeAndParity) {
     } else {
       EXPECT_EQ(p.metrics.client_count, 1u) << i;
     }
+  }
+}
+
+// Every row of the default grid, fanned out or fused, is bit-identical on
+// every level to its own per-row replay — on a fleet trace, so each row has
+// several clients whose write-backs interleave at the servers.
+TEST(HierarchySweep, FannedOutRowsMatchPerRowReplay) {
+  auto fleet = ParseFleetSpec("fleet:2xA5+E3");
+  ASSERT_TRUE(fleet.ok()) << fleet.status().message();
+  FleetGeneratorOptions options;
+  options.base.duration = Duration::Hours(1);
+  options.base.seed = 3017;
+  options.shards_per_machine = 2;
+  options.threads = 2;
+  auto generated = GenerateFleetTrace(fleet.value(), options);
+  ASSERT_TRUE(generated.ok()) << generated.status().message();
+  const ReplayLog log = ReplayLog::Build(generated.value().trace);
+  ASSERT_EQ(log.instance_count(), 3u);
+
+  const std::vector<HierarchyConfig> configs = HierarchySweepConfigs();
+  const HierarchySweepResult result = RunHierarchySweep(log, configs, /*threads=*/4);
+  ASSERT_EQ(result.points.size(), configs.size());
+  EXPECT_TRUE(result.parity);
+  EXPECT_EQ(result.hierarchy_replays, 9u);
+  for (size_t i = 0; i < configs.size(); ++i) {
+    const HierarchyMetrics& fanned = result.points[i].metrics;
+    const HierarchyMetrics alone = SimulateHierarchy(log, configs[i]);
+    const std::string row = std::to_string(i) + " " + configs[i].ToString();
+    ASSERT_EQ(fanned.client_count, alone.client_count) << row;
+    EXPECT_EQ(fanned.client_count, configs[i].has_clients() ? 3u : 0u) << row;
+    ASSERT_EQ(fanned.clients.size(), alone.clients.size()) << row;
+    for (size_t c = 0; c < alone.clients.size(); ++c) {
+      EXPECT_TRUE(CacheMetricsBitIdentical(fanned.clients[c], alone.clients[c]))
+          << row << " client " << c;
+    }
+    EXPECT_TRUE(CacheMetricsBitIdentical(fanned.client_total, alone.client_total)) << row;
+    EXPECT_TRUE(CacheMetricsBitIdentical(fanned.server, alone.server)) << row;
+    EXPECT_TRUE(HierarchyMetricsBitIdentical(fanned, alone)) << row;
   }
 }
 

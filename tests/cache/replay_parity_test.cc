@@ -3,6 +3,7 @@
 // running AccessReconstructor straight into it, for every Fig. 5/6/7
 // configuration and both billing policies.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -160,7 +161,8 @@ void ReplayWithZeroLengthTransfers(const ReplayLog& log, bool pagein, Engine& en
 
 // Every feed-driven engine against the direct reference simulator on a
 // hand-built trace, both billing bounds: the single level, fused lanes, the
-// degenerate hierarchy and the Mattson fetch-miss column.
+// degenerate hierarchy (one server, and one client-less replay fanned out to
+// three servers) and the Mattson fetch-miss column.
 void ExpectEveryEngineMatches(const Trace& trace) {
   const std::vector<FusedCacheSimulator::PolicyLane> lanes = {
       {WritePolicy::kWriteThrough, Duration::Seconds(30)},
@@ -199,6 +201,23 @@ void ExpectEveryEngineMatches(const Trace& trace) {
       const HierarchyMetrics levels = hierarchy.Collect();
       EXPECT_EQ(levels.client_count, 0u) << label;
       ExpectIdentical(direct, levels.server, label + " / hierarchy");
+
+      // No client layer, several servers: each is driven exactly as it
+      // would be alone.
+      std::vector<CacheConfig> servers = {c, c, c};
+      servers[1].size_bytes = 4 * c.size_bytes;
+      servers[1].policy = WritePolicy::kWriteThrough;
+      servers[2].size_bytes = std::max<uint64_t>(c.block_size, c.size_bytes / 4);
+      servers[2].policy = WritePolicy::kFlushBack;
+      servers[2].flush_interval = Duration::Seconds(30);
+      HierarchySimulator fan_out(h.client, servers, log.instance_count());
+      ReplayWithZeroLengthTransfers(log, pagein, fan_out);
+      for (size_t k = 0; k < servers.size(); ++k) {
+        const HierarchyMetrics row = fan_out.Collect(k);
+        EXPECT_EQ(row.client_count, 0u) << label;
+        ExpectIdentical(SimulateCache(trace, servers[k], billing), row.server,
+                        label + " / fan-out server " + std::to_string(k));
+      }
 
       StackDistanceAnalyzer::Options options;
       options.simulate_execve_pagein = pagein;

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -229,7 +230,10 @@ TEST(TraceStreamCli, SweepHierPrintsHierarchyFigure) {
   const std::string text = ::testing::internal::GetCapturedStdout();
   EXPECT_NE(text.find("Hierarchy sweep"), std::string::npos) << text;
   EXPECT_NE(text.find("Delayed Write"), std::string::npos) << text;
-  EXPECT_NE(text.find("client-0 parity OK"), std::string::npos) << text;
+  EXPECT_NE(text.find("hierarchy replay(s) (one per client configuration); fused and fan-out "
+                      "parity OK"),
+            std::string::npos)
+      << text;
 }
 
 // -- import / export ----------------------------------------------------------
@@ -424,6 +428,57 @@ TEST(TraceStreamCli, ValidateSliceUsersTopOnV3AndV4) {
     std::remove(in.c_str());
     std::remove(cut.c_str());
   }
+}
+
+// A v4 file whose first block fails verification: info must not report a
+// codec or a compression ratio it never read (an unverified file is not an
+// uncompressed one).
+TEST(TraceStreamCli, InfoOnV4WithCorruptFirstBlockReportsUnknownCodec) {
+  TraceBuilder b;
+  for (int i = 0; i < 400; ++i) {
+    b.WholeRead(2.0 * i, 2.0 * i + 1.0, /*oid=*/i + 1, /*file=*/10 + i % 37, 4096 + 97 * i);
+  }
+  const Trace trace = b.Build();
+  const std::string path = TempPath("cli_info_v4.trc");
+  std::vector<TraceBlockIndexEntry> index;
+  {
+    TraceWriterOptions options;
+    options.version = 4;
+    options.block_target_bytes = 2048;
+    TraceFileWriter writer(path, trace.header(), static_cast<int64_t>(trace.size()), options);
+    for (const TraceRecord& r : trace.records()) {
+      writer.Append(r);
+    }
+    ASSERT_TRUE(writer.Finish().ok());
+    index = writer.index();
+  }
+  ASSERT_GT(index.size(), 1u);
+  std::string out;
+  EXPECT_EQ(RunStdout({"info", path}, &out), 0);
+  EXPECT_NE(out.find("codec:       ans"), std::string::npos) << out;
+
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  const size_t victim = (index[0].offset + index[1].offset) / 2;
+  bytes[victim] = static_cast<char>(bytes[victim] ^ 0x10);
+  const std::string bad = TempPath("cli_info_v4_bad_first_block.trc");
+  {
+    std::ofstream o(bad, std::ios::binary | std::ios::trunc);
+    o.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(RunStdout({"info", bad}, &out), 1);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("integrity check failed"), std::string::npos) << err;
+  EXPECT_NE(out.find("checksums:   0 blocks"), std::string::npos) << out;
+  EXPECT_NE(out.find("codec:       unknown (no block verified)"), std::string::npos) << out;
+  EXPECT_EQ(out.find("codec:       none"), std::string::npos) << out;
+  EXPECT_EQ(out.find("compressed:"), std::string::npos) << out;
+  std::remove(path.c_str());
+  std::remove(bad.c_str());
 }
 
 TEST(TraceStreamCli, ValidateFailsOnInvalidTrace) {
