@@ -1,17 +1,16 @@
-// Bench + hard gate for the client/server cache hierarchy (§7 extension).
+// Bench + parity gate for the client/server cache hierarchy (§7 extension).
 //
-// Three gates, each of which fails the run:
+// Two gates, each of which fails the run:
 //   1. Parity: a client-size-0 HierarchySimulator must be bit-identical to
 //      the single-level CacheSimulator on every server config — the refactor
 //      contract (CacheLevel split + hierarchy driver cost the single-level
-//      path nothing semantically)...
-//   2. Throughput: ...and nearly nothing in time: the degenerate hierarchy
-//      replay must stay within 1.2x of the plain single-level replay over
-//      the same configs.
-//   3. Sweep: every row of the §7 grid, whether served by a fused lane or by
+//      path nothing semantically).  The two replays' times and their ratio
+//      are reported only: spans of a few milliseconds cannot gate a build.
+//   2. Sweep: every row of the §7 grid, whether served by a fused lane or by
 //      a client replay fanned out to every server size, must be bit-
 //      identical on every level to its own per-row SimulateHierarchy replay,
-//      and RunHierarchySweep's internal parity flag must hold.
+//      and RunHierarchySweep's internal parity flag must hold.  The plan's
+//      replay counts are pinned by the HierarchySweep ctest cases.
 //
 // The workload is a small fleet (2xA5 + 1xE3) so the hierarchy rows exercise
 // real multi-client attribution.  Emits one JSON line (stdout +
@@ -74,7 +73,7 @@ int main() {
   std::printf("fleet 2xA5+1xE3: %zu records, %zu instance(s), %.2f simulated hours\n",
               trace.size(), log.instance_count(), hours);
 
-  // Gate 1+2 workload: the five server sizes at delayed write — the plain
+  // Gate 1 workload: the five server sizes at delayed write — the plain
   // single-level replay (the pre-refactor engine's job) vs. the degenerate
   // hierarchy replay of the exact same configs.
   std::vector<HierarchyConfig> degenerate;
@@ -114,8 +113,6 @@ int main() {
     identical = identical && CacheMetricsBitIdentical(single_metrics[i], hier0_metrics[i].server);
   }
   const double ratio = single_s > 0 ? hier0_s / single_s : 0.0;
-  constexpr double kMaxRatio = 1.2;
-  const bool fast_enough = ratio <= kMaxRatio;
 
   // The full §7 grid, threaded; its internal parity flag re-checks every
   // fused client-0 group against a degenerate hierarchy replay and one
@@ -148,11 +145,11 @@ int main() {
   std::snprintf(json, sizeof(json),
                 "{\"bench\":\"hier_cache\",\"records\":%zu,\"hours\":%.2f,\"instances\":%zu,"
                 "\"degenerate_configs\":%zu,\"single_replay_s\":%.4f,\"hier0_replay_s\":%.4f,"
-                "\"ratio\":%.3f,\"max_ratio\":%.2f,\"sweep_points\":%zu,\"sweep_s\":%.4f,"
+                "\"ratio\":%.3f,\"sweep_points\":%zu,\"sweep_s\":%.4f,"
                 "\"fused_replays\":%zu,\"hierarchy_replays\":%zu,"
                 "\"identical\":%s,\"sweep_parity\":%s,\"rows_identical\":%s}",
                 trace.size(), hours, log.instance_count(), degenerate.size(), single_s, hier0_s,
-                ratio, kMaxRatio, sweep.points.size(), sweep_s, sweep.fused_replays,
+                ratio, sweep.points.size(), sweep_s, sweep.fused_replays,
                 sweep.hierarchy_replays, identical ? "true" : "false",
                 sweep.parity ? "true" : "false", rows_identical ? "true" : "false");
   std::printf("%s\n", json);
@@ -172,11 +169,6 @@ int main() {
   if (!rows_identical) {
     std::fprintf(stderr, "FAIL: %zu of %zu sweep rows diverge from their per-row replay\n",
                  rows_differing, grid.size());
-    return 1;
-  }
-  if (!fast_enough) {
-    std::fprintf(stderr, "FAIL: degenerate hierarchy replay is %.2fx the single-level replay "
-                 "(gate %.2fx)\n", ratio, kMaxRatio);
     return 1;
   }
   return 0;

@@ -5,10 +5,10 @@
 // write replays needed to cover every Mattson-curve sample — against the
 // planned engine over one shared replay log, for the Fig. 5, 6 and 7 config
 // families.  Every overlapping cell must be bit-identical (`parity`); the
-// Fig. 5 family must also be at least 3x faster, while the Fig. 6 and Fig. 7
-// speedups are reported only (their replay reduction comes from the curve
-// sizes).  Emits one JSON line per family (stdout + BENCH_<name>.json) and
-// exits 1 when any gate fails.
+// speedups are reported only — the plan's work counts, the source of the
+// Fig. 5 speedup, are pinned by the PlannedSweep ctest cases instead.  Emits
+// one JSON line per family (stdout + BENCH_<name>.json) and exits 1 when
+// parity fails.
 
 #include <algorithm>
 #include <chrono>
@@ -61,10 +61,9 @@ std::vector<CacheConfig> CurveFillConfigs(const std::vector<CacheConfig>& config
 // Times both engines on `log` single-threaded, so the ratio is the
 // algorithmic change alone, and checks bit-level parity: the planner's own
 // cross-check, every per-config point, and every dense curve sample against
-// its covering replay.  Returns false when parity fails or the speedup falls
-// below `min_speedup` (0: reported only).
+// its covering replay.  Returns false when parity fails.
 bool RunPlannedEngineBench(const std::string& name, const ReplayLog& log, size_t records,
-                           const std::vector<CacheConfig>& configs, double min_speedup) {
+                           const std::vector<CacheConfig>& configs) {
   const std::vector<CacheConfig> extra = CurveFillConfigs(configs);
   std::vector<CacheConfig> replay_configs = configs;
   replay_configs.insert(replay_configs.end(), extra.begin(), extra.end());
@@ -113,34 +112,23 @@ bool RunPlannedEngineBench(const std::string& name, const ReplayLog& log, size_t
                 "{\"bench\":\"%s\",\"records\":%zu,\"hours\":%.2f,\"configs\":%zu,"
                 "\"curve_fill_configs\":%zu,\"stack_passes\":%zu,\"fused_replays\":%zu,"
                 "\"replay_fallbacks\":%zu,\"replayed_sweep_s\":%.4f,\"planned_sweep_s\":%.4f,"
-                "\"speedup\":%.2f,\"min_speedup\":%.2f,\"parity\":%s}",
+                "\"speedup\":%.2f,\"parity\":%s}",
                 name.c_str(), records, StandardDuration().hours(), configs.size(), extra.size(),
                 planned.stack_passes, planned.fused_replays, planned.replay_fallbacks,
-                replayed_s, planned_s, speedup, min_speedup, parity ? "true" : "false");
+                replayed_s, planned_s, speedup, parity ? "true" : "false");
   std::printf("%s\n", json);
   if (std::FILE* f = std::fopen(("BENCH_" + name + ".json").c_str(), "w")) {
     std::fprintf(f, "%s\n", json);
     std::fclose(f);
   }
-  std::printf("%s: parity: %s, speedup %.2fx", name.c_str(), parity ? "true" : "false",
-              speedup);
-  if (min_speedup > 0) {
-    std::printf(" (gate %.2fx)\n", min_speedup);
-  } else {
-    std::printf(" (reported only)\n");
-  }
+  std::printf("%s: parity: %s, speedup %.2fx (reported only)\n", name.c_str(),
+              parity ? "true" : "false", speedup);
 
   if (!parity) {
     std::fprintf(stderr, "FAIL: %s planned-sweep metrics diverge from the replayed engine\n",
                  name.c_str());
-    return false;
   }
-  if (min_speedup > 0 && speedup < min_speedup) {
-    std::fprintf(stderr, "FAIL: %s speedup %.2fx below the %.2fx gate\n", name.c_str(),
-                 speedup, min_speedup);
-    return false;
-  }
-  return true;
+  return parity;
 }
 
 }  // namespace
@@ -154,8 +142,8 @@ int main() {
               "BSDTRACE_HOURS to change)\n",
               a5.trace.size(), StandardDuration().hours());
   const size_t records = a5.trace.size();
-  bool ok = RunPlannedEngineBench("fig5_table6_cache", log, records, Fig5Configs(), 3.0);
-  ok = RunPlannedEngineBench("fig6_table7_blocksize", log, records, Fig6Configs(), 0.0) && ok;
-  ok = RunPlannedEngineBench("fig7_paging", log, records, Fig7Configs(), 0.0) && ok;
+  bool ok = RunPlannedEngineBench("fig5_table6_cache", log, records, Fig5Configs());
+  ok = RunPlannedEngineBench("fig6_table7_blocksize", log, records, Fig6Configs()) && ok;
+  ok = RunPlannedEngineBench("fig7_paging", log, records, Fig7Configs()) && ok;
   return ok ? 0 : 1;
 }

@@ -1,6 +1,7 @@
 #include "src/cache/stack_distance.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <utility>
 
@@ -24,7 +25,8 @@ void StackDistanceProfile::Finalize() {
 }
 
 uint64_t StackDistanceProfile::HitsAt(const std::vector<uint64_t>& cumulative,
-                                      uint64_t capacity) {
+                                      uint64_t capacity) const {
+  assert(max_capacity_ == 0 || capacity <= max_capacity_);
   if (cumulative.empty()) {
     return 0;
   }
@@ -57,155 +59,123 @@ double StackDistanceProfile::FetchMissRatioAt(uint64_t capacity_blocks) const {
          static_cast<double>(total_accesses_);
 }
 
-namespace {
-size_t RoundUpPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) {
-    p <<= 1;
-  }
-  return p;
-}
-}  // namespace
-
 StackDistanceAnalyzer::StackDistanceAnalyzer(uint32_t block_size, Options options)
     : ReplayFrontEnd(options.simulate_execve_pagein),
       block_size_(block_size),
-      block_slot_(BlockKey{}),
+      max_capacity_(options.max_capacity),
+      block_node_(BlockKey{}),
       file_head_(kInvalidFileId) {
   assert(block_size >= 1);
-  slots_ = RoundUpPow2(std::max<size_t>(2, options.initial_slots));
-  tree_.assign(2 * slots_, LazyNode{});
-  slot_block_.resize(slots_ + 1);
-  slot_live_.assign(slots_ + 1, 0);
-  slot_file_next_.assign(slots_ + 1, 0);
-  slot_file_prev_.assign(slots_ + 1, 0);
+  profile_.max_capacity_ = max_capacity_;
+  slots_ = std::bit_ceil(std::max<size_t>(2, options.initial_slots));
+  height_ = std::countr_zero(slots_);
+  tree_.assign(2 * slots_, Tag{});
+  slot_node_.assign(slots_ + 1, 0);
 }
 
-// A lazy pair (add, hadd) means: the subtree's values were raised by `add` in
-// total, and the running raise peaked at `hadd` (hadd >= max(add, 0): the
-// pre-raise state counts).  Composing a later (a2, h2) onto an earlier
-// (a1, h1) gives (a1 + a2, max(h1, a1 + h2)); applying to a leaf (v, hv)
-// gives (v + add, max(hv, v + hadd)).
-void StackDistanceAnalyzer::ApplyLazy(size_t node, int64_t add, int64_t hadd) {
-  LazyNode& n = tree_[node];
-  n.hadd = std::max(n.hadd, n.add + hadd);
-  n.add += add;
+// Composing a later tag (a2, h2) onto an earlier (a1, h1) gives
+// (a1 + a2, max(h1, a1 + h2)); on a leaf (D, max D) it gives the new pair.
+// hadd >= max(add, 0): the pre-raise state counts.
+void StackDistanceAnalyzer::Apply(size_t t, Tag newer) {
+  Tag& tag = tree_[t];
+  tag.hadd = std::max(tag.hadd, tag.add + newer.hadd);
+  tag.add += newer.add;
 }
 
-void StackDistanceAnalyzer::PushDown(size_t node) {
-  const LazyNode n = tree_[node];
-  if (n.add == 0 && n.hadd == 0) {
-    return;
+void StackDistanceAnalyzer::Push(size_t t) {
+  const Tag tag = tree_[t];
+  if (tag.add != 0 || tag.hadd != 0) {
+    Apply(2 * t, tag);
+    Apply(2 * t + 1, tag);
+    tree_[t] = Tag{};
   }
-  ApplyLazy(2 * node, n.add, n.hadd);
-  ApplyLazy(2 * node + 1, n.add, n.hadd);
-  tree_[node] = LazyNode{};
 }
 
-void StackDistanceAnalyzer::RangeAdd(size_t l, size_t r, int64_t delta) {
-  if (l > r) {
-    return;
+// Pushes the lazies down `leaf`'s path, top-down, tagging each path node's
+// sibling on the way: `left` if it lies left of the path, else `right`.  A
+// newer tag may only land below a node once that node's older tag moved
+// down: the lazies on any root-to-leaf path must stay ordered oldest at the
+// bottom for the historic max.  Leaves tree_[leaf] holding (D, max D).
+void StackDistanceAnalyzer::WalkDown(size_t leaf, Tag left, Tag right) {
+  for (int h = height_; h > 0; --h) {
+    Push(leaf >> h);
+    const size_t child = leaf >> (h - 1);
+    Apply(child ^ 1, (child & 1) != 0 ? left : right);
   }
-  RangeAddRec(1, 1, slots_, l, r, delta);
 }
 
-void StackDistanceAnalyzer::RangeAddRec(size_t node, size_t node_l, size_t node_r,
-                                        size_t l, size_t r, int64_t delta) {
-  if (r < node_l || node_r < l) {
-    return;
-  }
-  if (l <= node_l && node_r <= r) {
-    ApplyLazy(node, delta, std::max<int64_t>(delta, 0));
-    return;
-  }
-  // Push the node's pending (older) lazy down before a newer one can land in
-  // its subtree — this keeps every root-to-leaf path's lazies ordered oldest
-  // at the bottom, which is what the bottom-up composition in QuerySlot (and
-  // the historic-max semantics) requires.
-  PushDown(node);
-  const size_t mid = node_l + (node_r - node_l) / 2;
-  RangeAddRec(2 * node, node_l, mid, l, r, delta);
-  RangeAddRec(2 * node + 1, mid + 1, node_r, l, r, delta);
-}
-
-std::pair<int64_t, int64_t> StackDistanceAnalyzer::QuerySlot(size_t s) const {
-  // Walk leaf -> root, composing each ancestor's (strictly later) lazy onto
-  // the accumulated leaf state.
-  size_t node = s + slots_ - 1;
-  int64_t v = tree_[node].add;
-  int64_t hv = tree_[node].hadd;
-  for (node >>= 1; node >= 1; node >>= 1) {
-    hv = std::max(hv, v + tree_[node].hadd);
-    v += tree_[node].add;
-  }
-  return {v, hv};
-}
-
-size_t StackDistanceAnalyzer::NewSlot(const BlockKey& key) {
+void StackDistanceAnalyzer::PushTop(uint32_t node) {
   if (next_slot_ > slots_) {
     Compact();
   }
   const size_t s = next_slot_++;
-  // The leaf is pristine: compaction zeroes the arrays, and no later RangeAdd
-  // reaches slots at or above next_slot_ (every range ends below the newest
-  // slot), so ancestors hold no lazy covering s either.
-  slot_block_[s] = key;
-  slot_live_[s] = 1;
-  ++live_count_;
-  return s;
+  slot_node_[s] = node;
+  nodes_[node].slot = static_cast<uint32_t>(s);
+  // An unused slot only ever receives +1 tags (whole-stack and suffix adds,
+  // never a kill's prefix), so the tags pending above it compose to (A, A):
+  // a leaf of (-A, -A) makes its state (0, 0) without pushing them.
+  const size_t leaf = Leaf(s);
+  int32_t above = 0;
+  for (size_t t = leaf >> 1; t >= 1; t >>= 1) {
+    assert(tree_[t].hadd == tree_[t].add);
+    above += tree_[t].add;
+  }
+  tree_[leaf] = Tag{-above, -above};
+}
+
+void StackDistanceAnalyzer::Kill(size_t slot) {
+  // A true stack deletion: every slot below the victim loses one block from
+  // its over-stack count — -1 on the left siblings of its path.  Order among
+  // the doomed is immaterial: the adds are negative, so no peak forms.
+  WalkDown(Leaf(slot), Tag{-1, 0}, Tag{});
+  slot_node_[slot] = 0;
 }
 
 void StackDistanceAnalyzer::Compact() {
-  // Renumber live slots densely, preserving order (slot number = recency
-  // rank), and restart every leaf's history at its current value.  Restarting
-  // is sound: a re-access reads the historic max *since the previous access
-  // to the same block*, and that access's slot was created after this
-  // compaction or was renumbered here with its history carried over.
-  std::vector<std::pair<BlockKey, std::pair<int64_t, int64_t>>> live;
-  live.reserve(live_count_);
-  for (size_t s = 1; s < next_slot_; ++s) {
-    if (slot_live_[s]) {
-      live.emplace_back(slot_block_[s], QuerySlot(s));
+  // With every tag pushed to the leaves, each live leaf holds its block's
+  // (D, max D).  Renumbering keeps slot order (= recency) and carries that
+  // history, which is all a later re-access reads.
+  for (size_t t = 1; t < slots_; ++t) {
+    Push(t);
+  }
+  size_t s = 1;
+  // Depth bound: max D strictly grows down the stack, so the blocks that
+  // reached K are exactly a bottom prefix; they miss at every queried
+  // capacity until re-accessed, and no tracked block lies below them.
+  for (; max_capacity_ > 0 && s < next_slot_; ++s) {
+    const uint32_t n = slot_node_[s];
+    if (n != 0) {
+      if (static_cast<uint64_t>(tree_[Leaf(s)].hadd) < max_capacity_) {
+        break;
+      }
+      nodes_[n].slot = 0;
     }
   }
-  while (live.size() + 1 > slots_ / 2) {
-    slots_ *= 2;
+  size_t out = 0;
+  for (; s < next_slot_; ++s) {
+    if (const uint32_t n = slot_node_[s]; n != 0) {
+      ++out;
+      tree_[Leaf(out)] = tree_[Leaf(s)];
+      slot_node_[out] = n;
+      nodes_[n].slot = static_cast<uint32_t>(out);
+    }
   }
-  tree_.assign(2 * slots_, LazyNode{});
-  slot_block_.assign(slots_ + 1, BlockKey{});
-  slot_live_.assign(slots_ + 1, 0);
-  slot_file_next_.assign(slots_ + 1, 0);
-  slot_file_prev_.assign(slots_ + 1, 0);
-  block_slot_ = FlatMap<BlockKey, size_t, BlockKeyHash>(BlockKey{}, 2 * (live.size() + 1));
-  file_head_ = FlatMap<FileId, size_t, IdHash>(kInvalidFileId);
-  for (size_t i = 0; i < live.size(); ++i) {
-    const size_t s = i + 1;
-    const size_t leaf = s + slots_ - 1;
-    tree_[leaf].add = live[i].second.first;
-    tree_[leaf].hadd = live[i].second.second;
-    slot_block_[s] = live[i].first;
-    slot_live_[s] = 1;
-    block_slot_[live[i].first] = s;
-    LinkSlot(s, live[i].first.file);
+  std::fill(tree_.begin() + static_cast<ptrdiff_t>(Leaf(out + 1)), tree_.end(), Tag{});
+  std::fill(slot_node_.begin() + static_cast<ptrdiff_t>(out + 1), slot_node_.end(), 0);
+  next_slot_ = out + 1;
+  if (out + 1 > slots_ / 2) {
+    // Grow: the old leaf row becomes (zeroed) internal nodes.
+    const size_t old = slots_;
+    while (out + 1 > slots_ / 2) {
+      slots_ *= 2;
+    }
+    height_ = std::countr_zero(slots_);
+    tree_.resize(2 * slots_, Tag{});
+    std::copy_n(tree_.begin() + static_cast<ptrdiff_t>(old), out,
+                tree_.begin() + static_cast<ptrdiff_t>(slots_));
+    std::fill_n(tree_.begin() + static_cast<ptrdiff_t>(old), out, Tag{});
+    slot_node_.resize(slots_ + 1, 0);
   }
-  next_slot_ = live.size() + 1;
-  live_count_ = live.size();
-}
-
-void StackDistanceAnalyzer::LinkSlot(size_t slot, FileId file) {
-  size_t& head = file_head_[file];
-  slot_file_next_[slot] = head;
-  slot_file_prev_[slot] = 0;
-  if (head != 0) {
-    slot_file_prev_[head] = slot;
-  }
-  head = slot;
-}
-
-void StackDistanceAnalyzer::KillSlot(size_t slot) {
-  RangeAdd(1, slot - 1, -1);
-  slot_live_[slot] = 0;
-  --live_count_;
 }
 
 void StackDistanceAnalyzer::AccessBlock(const BlockKey& key, bool is_write,
@@ -226,77 +196,58 @@ void StackDistanceAnalyzer::AccessBlock(const BlockKey& key, bool is_write,
     profile_.fetch_accesses_ += 1;
   }
 
-  size_t* slot_ref = block_slot_.Find(key);
-  if (slot_ref == nullptr) {
+  uint32_t& ref = block_node_.FindOrInsert(key, 0);
+  uint32_t n = ref;
+  if (n == 0) {
     profile_.cold_misses_ += 1;
-    if (needs_fetch) {
-      profile_.fetch_cold_misses_ += 1;
+    if (free_nodes_.empty()) {
+      n = static_cast<uint32_t>(nodes_.size());
+      nodes_.emplace_back();
+    } else {
+      n = free_nodes_.back();
+      free_nodes_.pop_back();
     }
-    const size_t s = NewSlot(key);
-    // NewSlot may compact, rebuilding the map and chains — index afterwards.
-    block_slot_[key] = s;
-    LinkSlot(s, key.file);
-    RangeAdd(1, s - 1, 1);
+    ref = n;
+    uint32_t& head = file_head_[key.file];
+    nodes_[n] = Node{.key = key, .slot = 0, .next = head};
+    head = n;
+    Apply(1, Tag{1, 1});  // every live block now has one more above it
+    PushTop(n);
     return;
   }
 
   // Re-access: the effective distance is 1 + the maximum number of distinct
   // live blocks that stood above this one at any point since its previous
   // access — exactly the occupancy threshold at which a C-block LRU cache
-  // evicts it (see header).
-  const size_t s0 = *slot_ref;
-  const auto [v, hv] = QuerySlot(s0);
-  (void)v;
-  const uint64_t distance = static_cast<uint64_t>(hv) + 1;
-  if (profile_.distance_counts_.size() <= distance) {
-    profile_.distance_counts_.resize(distance + 1, 0);
-  }
-  profile_.distance_counts_[distance] += 1;
-  if (needs_fetch) {
-    if (profile_.fetch_distance_counts_.size() <= distance) {
-      profile_.fetch_distance_counts_.resize(distance + 1, 0);
-    }
-    profile_.fetch_distance_counts_[distance] += 1;
-  }
-
-  // Move to the top of the stack.  Retiring slot s0 subtracts 1 below s0 and
-  // the fresh top slot adds 1 below itself; on [1, s0 - 1] the pair cancels
-  // for the current value AND the historic max (hv >= v always, so the
-  // transient v - 1 then back to v peaks at v <= hv), leaving a single net
-  // +1 on the slots strictly between the two.
-  slot_live_[s0] = 0;
-  --live_count_;
-  if (next_slot_ <= slots_) {
-    const size_t s = next_slot_++;
-    slot_block_[s] = key;
-    slot_live_[s] = 1;
-    ++live_count_;
-    *slot_ref = s;  // no insert/erase happened: the Find pointer is valid
-    // Splice the fresh slot into s0's position in its file chain.
-    const size_t prev = slot_file_prev_[s0];
-    const size_t next = slot_file_next_[s0];
-    slot_file_prev_[s] = prev;
-    slot_file_next_[s] = next;
-    if (prev != 0) {
-      slot_file_next_[prev] = s;
-    } else {
-      *file_head_.Find(key.file) = s;
-    }
-    if (next != 0) {
-      slot_file_prev_[next] = s;
-    }
-    RangeAdd(s0 + 1, s - 1, 1);
+  // evicts it (see header).  A dropped block is past K: distance K + 1.
+  const size_t s0 = nodes_[n].slot;
+  uint64_t distance = max_capacity_ + 1;
+  if (s0 == 0) {
+    Apply(1, Tag{1, 1});
   } else {
-    // Compaction pending: the merged range would straddle the renumbering,
-    // so apply the retire-then-create pair explicitly.  The -1 must land
-    // before Compact() snapshots the leaves; the rebuild then drops dead s0
-    // from the map and chains, and the insertions below are fresh.
-    RangeAdd(1, s0 - 1, -1);
-    const size_t s = NewSlot(key);
-    block_slot_[key] = s;
-    LinkSlot(s, key.file);
-    RangeAdd(1, s - 1, 1);
+    // Moving to the top raises only the slots above s0 (below it the retire
+    // and the new top cancel, peak included: hv >= v): +1 on the right
+    // siblings of s0's path.
+    const size_t leaf = Leaf(s0);
+    WalkDown(leaf, Tag{}, Tag{1, 1});
+    // A block past K that compaction has not dropped yet still counts K + 1.
+    const uint64_t hv = static_cast<uint64_t>(tree_[leaf].hadd);
+    if (max_capacity_ == 0 || hv < max_capacity_) {
+      distance = hv + 1;
+    }
+    slot_node_[s0] = 0;
   }
+  auto count = [distance](std::vector<uint64_t>& counts) {
+    if (counts.size() <= distance) {
+      counts.resize(distance + 1, 0);
+    }
+    ++counts[distance];
+  };
+  count(profile_.distance_counts_);
+  if (needs_fetch) {
+    count(profile_.fetch_distance_counts_);
+  }
+  PushTop(n);
 }
 
 void StackDistanceAnalyzer::AccessBlocks(SimTime, FileId file, uint64_t offset,
@@ -307,31 +258,26 @@ void StackDistanceAnalyzer::AccessBlocks(SimTime, FileId file, uint64_t offset,
 }
 
 void StackDistanceAnalyzer::Invalidate(SimTime, FileId file, uint64_t first_byte) {
-  size_t* head = file_head_.Find(file);
+  uint32_t* head = file_head_.Find(file);
   if (head == nullptr) {
     return;
   }
   const uint64_t first_block = (first_byte + block_size_ - 1) / block_size_;
-  size_t s = *head;
-  while (s != 0) {
-    const size_t next = slot_file_next_[s];
-    if (slot_block_[s].index >= first_block) {
-      // A true stack deletion: every slot below the victim loses one block
-      // from its over-stack count.  Order among the doomed is immaterial —
-      // the adds are all negative, so no spurious peak can form.
-      KillSlot(s);
-      block_slot_.Erase(slot_block_[s]);
-      const size_t prev = slot_file_prev_[s];
-      if (prev != 0) {
-        slot_file_next_[prev] = next;
-      } else {
-        *head = next;  // file_head_ untouched since Find: pointer valid
+  uint32_t prev = 0;  // last kept node of the chain
+  for (uint32_t n = *head; n != 0;) {
+    const Node node = nodes_[n];
+    if (node.key.index >= first_block) {
+      // Dropped nodes are erased too, so a later touch is cold again.
+      if (node.slot != 0) {
+        Kill(node.slot);
       }
-      if (next != 0) {
-        slot_file_prev_[next] = prev;
-      }
+      block_node_.Erase(node.key);
+      (prev != 0 ? nodes_[prev].next : *head) = node.next;
+      free_nodes_.push_back(n);
+    } else {
+      prev = n;
     }
-    s = next;
+    n = node.next;
   }
   if (*head == 0) {
     file_head_.Erase(file);

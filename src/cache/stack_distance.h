@@ -1,5 +1,5 @@
 // One-pass LRU stack-distance analysis (Mattson et al., 1970), exact under
-// invalidations.
+// invalidations, optionally bounded to a largest capacity K.
 //
 // Replaying a trace once per candidate cache size (as the paper's simulator
 // and CacheSimulator do) costs a full pass per point on the Figure 5 curve.
@@ -22,17 +22,35 @@
 // previous access.  (x is evicted from a C-block LRU cache exactly when D
 // first reaches C: while x is resident every such block is resident above
 // it, so the insertion raising D to C finds the cache full with x at the
-// tail.)  This pass tracks D per live block with a historic-max segment
-// tree over stack slots — range add ±1, point query of (current, historic
-// max) — making MissesAt()/FetchMissesAt() bit-identical to CacheSimulator
-// at every capacity, invalidations included (property-tested).
+// tail.)  MissesAt()/FetchMissesAt() are bit-identical to CacheSimulator at
+// every capacity, invalidations included (property-tested).
+//
+// Engine.  Each tracked block owns one stable node {key, stack slot, file
+// chain link}; the block map is written only on first touch and on
+// invalidation.  A re-access moves the node to a fresh top slot, so slot
+// order is recency order.  D per live slot lives in a historic-max lazy
+// tree read by point queries only, so it keeps no aggregates and needs no
+// recursion: a range update walks one root-to-leaf path top-down, pushing
+// each lazy to its children and tagging the path's covering sibling.  A
+// re-access reads (D, max D) at its old slot and adds +1 to the suffix
+// above it, a first touch adds +1 to every slot (a root tag), and an
+// invalidation adds -1 to the prefix below the victim.
+// Tags landing on not-yet-used slots are only ever +1s, so a new top slot
+// cancels them in its leaf without a push.  Compaction renumbers the live
+// slots densely when the appended region fills.
+//
+// Depth bound.  With K > 0 a block whose max D reaches K misses at every
+// queried capacity until its next access, and every block below it in the
+// stack has a larger max D.  Compaction drops that bottom prefix: the node
+// stays in the map and on its file chain with no slot, its next access
+// counts as distance K+1 (a miss, not cold), and an invalidation still
+// erases it, so cold_misses() stays exact.  Queries above K are invalid.
 //
 // Scope: exact LRU *fetch* (disk-read) and content-miss counts; write-policy
 // disk writes remain capacity-and-policy coupled — pair with the replay
-// engine (sweep.h) when write traffic matters.  Memory is O(live blocks):
-// the slot space is compacted whenever the appended-slot region fills.
-//
-// Implementation: O(log S) per access, S = compacted slot-space size.
+// engine (sweep.h) when write traffic matters.  Memory: O(K) tree and slot
+// table (O(live blocks) unbounded) plus O(tracked blocks) nodes.  Time:
+// O(log S) per access, S = slot-space size.
 
 #ifndef BSDTRACE_SRC_CACHE_STACK_DISTANCE_H_
 #define BSDTRACE_SRC_CACHE_STACK_DISTANCE_H_
@@ -70,6 +88,9 @@ class StackDistanceProfile {
   // Fetch misses per block access at the given capacity.
   double FetchMissRatioAt(uint64_t capacity_blocks) const;
 
+  // The depth bound K the pass ran with, in blocks (0 = unbounded): every
+  // capacity query must be at most K.
+  uint64_t max_capacity() const { return max_capacity_; }
   uint64_t total_accesses() const { return total_accesses_; }
   uint64_t read_accesses() const { return read_accesses_; }
   uint64_t write_accesses() const { return write_accesses_; }
@@ -81,7 +102,7 @@ class StackDistanceProfile {
   // Histogram: counts[d] = accesses with effective stack distance exactly d
   // (1-based; index 0 unused).  The effective distance is the maximum
   // interim distance, so on invalidation-free streams it equals the classic
-  // Mattson distance.
+  // Mattson distance.  A bounded pass folds every distance above K into K+1.
   const std::vector<uint64_t>& distance_counts() const { return distance_counts_; }
 
  private:
@@ -89,16 +110,16 @@ class StackDistanceProfile {
 
   // Builds the prefix-sum tables; called once by Take().
   void Finalize();
-  static uint64_t HitsAt(const std::vector<uint64_t>& cumulative, uint64_t capacity);
+  uint64_t HitsAt(const std::vector<uint64_t>& cumulative, uint64_t capacity) const;
 
   std::vector<uint64_t> distance_counts_{0};
   std::vector<uint64_t> fetch_distance_counts_{0};
+  uint64_t max_capacity_ = 0;
   uint64_t total_accesses_ = 0;
   uint64_t read_accesses_ = 0;
   uint64_t write_accesses_ = 0;
   uint64_t cold_misses_ = 0;
   uint64_t fetch_accesses_ = 0;
-  uint64_t fetch_cold_misses_ = 0;
   // Prefix sums of the histograms, built in Finalize() (never lazily: const
   // accessors must be safe from concurrent sweep workers).
   std::vector<uint64_t> cumulative_;
@@ -114,6 +135,9 @@ class StackDistanceAnalyzer final : public ReplayFrontEnd<StackDistanceAnalyzer>
   struct Options {
     // Fig. 7: treat each execve as a whole-file read of the program file.
     bool simulate_execve_pagein = false;
+    // Depth bound K in blocks: the largest capacity the profile will be
+    // asked about.  0 = unbounded.
+    uint64_t max_capacity = 0;
     // Initial slot-space capacity (testing knob: small values force frequent
     // compactions).  Rounded up to a power of two.
     size_t initial_slots = 1024;
@@ -137,52 +161,41 @@ class StackDistanceAnalyzer final : public ReplayFrontEnd<StackDistanceAnalyzer>
   StackDistanceProfile Take();
 
  private:
-  // -- Historic-max segment tree over stack slots ---------------------------
-  // Leaf s holds (value, historic max) of D for the block whose last access
-  // occupies slot s; internal nodes hold lazy (add, historic max add) pairs.
-  void RangeAdd(size_t l, size_t r, int64_t delta);  // inclusive, 1-based
-  void RangeAddRec(size_t node, size_t node_l, size_t node_r, size_t l, size_t r,
-                   int64_t delta);
-  // (current, historic max) at slot s, accounting for pending lazies.
-  std::pair<int64_t, int64_t> QuerySlot(size_t s) const;
-  void ApplyLazy(size_t node, int64_t add, int64_t hadd);
-  void PushDown(size_t node);
+  struct Node {
+    BlockKey key;
+    uint32_t slot = 0;  // stack slot (1-based); 0 = dropped past K
+    uint32_t next = 0;  // next node of the file's chain (0 = end)
+  };
+  // A lazy tag (add, hadd): values raised by `add` in total, the running
+  // raise peaking at `hadd`.  A leaf holds (D, max D) in the same form.
+  struct Tag {
+    int32_t add = 0;
+    int32_t hadd = 0;
+  };
 
-  // Renumbers live slots densely (growing the slot space if more than half
-  // full) and rebuilds the tree, maps, and slot metadata.
+  size_t Leaf(size_t slot) const { return slots_ + slot - 1; }
+  void Apply(size_t t, Tag newer);      // composes a newer tag onto node t
+  void Push(size_t t);                  // moves node t's tag to its children
+  void WalkDown(size_t leaf, Tag left, Tag right);  // push + tag one path
+  void PushTop(uint32_t node);          // gives `node` a fresh, zeroed top slot
+  void Kill(size_t slot);               // removes a live slot from the stack
   void Compact();
-  size_t NewSlot(const BlockKey& key);
-
   void AccessBlock(const BlockKey& key, bool is_write, bool whole_block,
                    uint64_t known_extent);
-  void KillSlot(size_t slot);  // removes a live slot from the stack
-  void LinkSlot(size_t slot, FileId file);  // pushes slot onto file's chain
 
   uint32_t block_size_;
+  uint64_t max_capacity_;
   StackDistanceProfile profile_;
-  // Block -> slot of its most recent access (1-based): a single
-  // open-addressing probe per access (the nested per-file map it replaces
-  // cost two node-chasing lookups).
-  FlatMap<BlockKey, size_t, BlockKeyHash> block_slot_;
-  // Intrusive per-file slot chains for range invalidation: head per file,
-  // next/prev links indexed by slot (0 = end), mirroring BlockCache's file
-  // chains.
-  FlatMap<FileId, size_t, IdHash> file_head_;
-  std::vector<size_t> slot_file_next_, slot_file_prev_;
-  // Segment tree, sized 2 * slots_: internal lazy (add, hadd) pairs in
-  // [1, slots_), leaf (value, hist max) pairs in [slots_, 2 * slots_).  One
-  // interleaved node array: every tree touch reads both fields, so splitting
-  // them would double the cache lines per walk.
-  struct LazyNode {
-    int64_t add = 0;
-    int64_t hadd = 0;
-  };
-  std::vector<LazyNode> tree_;
-  size_t slots_ = 0;       // leaf count (power of two)
-  size_t next_slot_ = 1;   // next unused slot (1-based; slot 0 unused)
-  std::vector<BlockKey> slot_block_;  // slot -> block key (valid when live)
-  std::vector<uint8_t> slot_live_;
-  size_t live_count_ = 0;
+  FlatMap<BlockKey, uint32_t, BlockKeyHash> block_node_;  // tracked block -> node
+  FlatMap<FileId, uint32_t, IdHash> file_head_;           // file -> first node
+  std::vector<Node> nodes_{1};       // node 0 is the null id
+  std::vector<uint32_t> free_nodes_;
+  // Lazy tree: internal tags in [1, slots_), leaf s at Leaf(s).
+  std::vector<Tag> tree_;
+  std::vector<uint32_t> slot_node_;  // slot -> node (0 = dead slot)
+  size_t slots_ = 0;                 // leaf count (power of two)
+  int height_ = 0;                   // log2(slots_)
+  size_t next_slot_ = 1;             // next unused slot
 };
 
 // Convenience: analyze a whole trace (through a ReplayLog billed at next

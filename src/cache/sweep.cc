@@ -255,14 +255,9 @@ PlannedSweep RunPlannedSweep(const ReplayLog& log, const std::vector<CacheConfig
   for (size_t g = 0; g < mattson_groups.size(); ++g) {
     work.push_back([&, g]() {
       const MattsonGroup& group = mattson_groups[g];
-      StackDistanceAnalyzer::Options opt;
-      opt.simulate_execve_pagein = group.pagein;
-      StackDistanceAnalyzer analyzer(group.block_size, opt);
-      analyzer.Replay(log);
       SweepCurve& curve = result.curves[g];
       curve.block_size = group.block_size;
       curve.simulate_execve_pagein = group.pagein;
-      curve.profile = analyzer.Take();
       curve.size_bytes = curve_sizes;
       for (const size_t i : group.members) {
         curve.size_bytes.push_back(configs[i].size_bytes);
@@ -270,6 +265,13 @@ PlannedSweep RunPlannedSweep(const ReplayLog& log, const std::vector<CacheConfig
       std::sort(curve.size_bytes.begin(), curve.size_bytes.end());
       curve.size_bytes.erase(std::unique(curve.size_bytes.begin(), curve.size_bytes.end()),
                              curve.size_bytes.end());
+      // The pass only needs depth up to the family's largest queried size.
+      StackDistanceAnalyzer::Options opt;
+      opt.simulate_execve_pagein = group.pagein;
+      opt.max_capacity = BlocksFor(curve.size_bytes.back(), group.block_size);
+      StackDistanceAnalyzer analyzer(group.block_size, opt);
+      analyzer.Replay(log);
+      curve.profile = analyzer.Take();
       curve.fetch_misses.reserve(curve.size_bytes.size());
       curve.fetch_miss_ratios.reserve(curve.size_bytes.size());
       for (const uint64_t size : curve.size_bytes) {

@@ -59,14 +59,16 @@ std::vector<CacheConfig> Fig7Configs();
 //   * each (block size, page-in) family of LRU configs additionally gets one
 //     exact stack-distance pass (stack_distance.h), yielding the fetch-miss/
 //     miss-ratio column for EVERY cache size — the dense curve axis — from a
-//     single pass instead of one replay per size;
+//     single pass instead of one replay per size.  The pass is depth-bounded
+//     at the family's largest curve or member size K (in blocks), so its
+//     tree keeps O(K) slots;
 //   * configs the fast paths cannot serve (metadata simulation) fall back to
 //     per-config replays.
 //
 // `points` is bit-identical to RunCacheSweep(log, configs) in input order.
 // `parity` cross-checks the two engines where they overlap: for every LRU
 // non-metadata config, the Mattson curve's FetchMissesAt(block_count) must
-// equal the replayed disk_reads exactly; benches gate on it.
+// equal the replayed disk_reads exactly; tests and benches check it.
 
 // The dense cache-size axis sampled by every Mattson curve (25 sizes in
 // quarter-octave steps from 256 KB to 16 MB, a superset of the paper's
@@ -84,8 +86,9 @@ struct SweepCurve {
   std::vector<uint64_t> size_bytes;
   std::vector<uint64_t> fetch_misses;
   std::vector<double> fetch_miss_ratios;
-  // The full profile: FetchMissesAt/MissesAt answer any capacity, not just
-  // the sampled ones.
+  // The full profile: FetchMissesAt/MissesAt answer every capacity up to
+  // its max_capacity() K — the family's largest sampled size in blocks —
+  // not just the sampled ones.
   StackDistanceProfile profile;
 };
 

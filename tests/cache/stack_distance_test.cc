@@ -1,6 +1,8 @@
 #include "src/cache/stack_distance.h"
 
+#include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -127,16 +129,41 @@ Trace ReadTrace(uint64_t seed, double unlink_probability) {
   return b.Build();
 }
 
+// Each property holds for the unbounded pass and for one capped at a small
+// depth bound, where drops and compactions come every few accesses; the
+// capped profile is queried only up to its bound.
+constexpr uint64_t kSmallBound = 24;
+
+std::vector<StackDistanceProfile> UnboundedAndCapped(const Trace& trace) {
+  StackDistanceAnalyzer::Options capped;
+  capped.max_capacity = kSmallBound;
+  capped.initial_slots = 4;
+  std::vector<StackDistanceProfile> passes;
+  passes.push_back(ComputeStackDistances(trace, 4096));
+  passes.push_back(ComputeStackDistances(trace, 4096, capped));
+  return passes;
+}
+
+// Whether `p` may be queried at `capacity`: at most its bound, if any.
+bool Answers(const StackDistanceProfile& p, uint64_t capacity) {
+  return p.max_capacity() == 0 || capacity <= p.max_capacity();
+}
+
 TEST_P(StackDistanceEquivalence, MatchesSimulatorExactlyWithoutInvalidation) {
   const Trace trace = ReadTrace(GetParam(), 0.0);
-  const StackDistanceProfile p = ComputeStackDistances(trace, 4096);
-  for (uint64_t capacity : {1u, 4u, 16u, 64u, 256u}) {
-    CacheConfig c;
-    c.size_bytes = capacity * 4096;
-    c.block_size = 4096;
-    c.policy = WritePolicy::kDelayedWrite;
-    const CacheMetrics m = SimulateCache(trace, c);
-    EXPECT_EQ(p.MissesAt(capacity), m.disk_reads) << "capacity " << capacity;
+  for (const StackDistanceProfile& p : UnboundedAndCapped(trace)) {
+    for (uint64_t capacity : {1u, 4u, 16u, 24u, 64u, 256u}) {
+      if (!Answers(p, capacity)) {
+        continue;
+      }
+      CacheConfig c;
+      c.size_bytes = capacity * 4096;
+      c.block_size = 4096;
+      c.policy = WritePolicy::kDelayedWrite;
+      const CacheMetrics m = SimulateCache(trace, c);
+      EXPECT_EQ(p.MissesAt(capacity), m.disk_reads)
+          << "capacity " << capacity << " bound " << p.max_capacity();
+    }
   }
 }
 
@@ -145,14 +172,17 @@ TEST_P(StackDistanceEquivalence, MatchesSimulatorExactlyUnderInvalidation) {
   // distances (see stack_distance.h), so the one-pass analysis stays exact —
   // not merely a bound — on unlink-heavy traces at every capacity.
   const Trace trace = ReadTrace(GetParam() + 100, 0.06);
-  const StackDistanceProfile p = ComputeStackDistances(trace, 4096);
-  for (uint64_t capacity = 1; capacity <= 384; capacity = capacity * 3 / 2 + 1) {
-    CacheConfig c;
-    c.size_bytes = capacity * 4096;
-    c.block_size = 4096;
-    c.policy = WritePolicy::kDelayedWrite;
-    const CacheMetrics m = SimulateCache(trace, c);
-    EXPECT_EQ(p.MissesAt(capacity), m.disk_reads) << "capacity " << capacity;
+  for (const StackDistanceProfile& p : UnboundedAndCapped(trace)) {
+    for (uint64_t capacity = 1; capacity <= 384 && Answers(p, capacity);
+         capacity = capacity * 3 / 2 + 1) {
+      CacheConfig c;
+      c.size_bytes = capacity * 4096;
+      c.block_size = 4096;
+      c.policy = WritePolicy::kDelayedWrite;
+      const CacheMetrics m = SimulateCache(trace, c);
+      EXPECT_EQ(p.MissesAt(capacity), m.disk_reads)
+          << "capacity " << capacity << " bound " << p.max_capacity();
+    }
   }
 }
 
@@ -195,17 +225,20 @@ TEST_P(StackDistanceEquivalence, FetchMissParityOnWriteHeavyTrace) {
   // the no-fetch predicate (whole-block overwrite, write past known extent)
   // is capacity-independent, so it folds into a second histogram.
   const Trace trace = RwTrace(GetParam());
-  const StackDistanceProfile p = ComputeStackDistances(trace, 4096);
-  for (uint64_t capacity = 1; capacity <= 384; capacity = capacity * 3 / 2 + 1) {
-    CacheConfig c;
-    c.size_bytes = capacity * 4096;
-    c.block_size = 4096;
-    c.policy = WritePolicy::kDelayedWrite;
-    const CacheMetrics m = SimulateCache(trace, c);
-    EXPECT_EQ(p.FetchMissesAt(capacity), m.disk_reads) << "capacity " << capacity;
-    EXPECT_EQ(p.total_accesses(), m.logical_accesses);
-    EXPECT_EQ(p.read_accesses(), m.read_accesses);
-    EXPECT_EQ(p.write_accesses(), m.write_accesses);
+  for (const StackDistanceProfile& p : UnboundedAndCapped(trace)) {
+    for (uint64_t capacity = 1; capacity <= 384 && Answers(p, capacity);
+         capacity = capacity * 3 / 2 + 1) {
+      CacheConfig c;
+      c.size_bytes = capacity * 4096;
+      c.block_size = 4096;
+      c.policy = WritePolicy::kDelayedWrite;
+      const CacheMetrics m = SimulateCache(trace, c);
+      EXPECT_EQ(p.FetchMissesAt(capacity), m.disk_reads)
+          << "capacity " << capacity << " bound " << p.max_capacity();
+      EXPECT_EQ(p.total_accesses(), m.logical_accesses);
+      EXPECT_EQ(p.read_accesses(), m.read_accesses);
+      EXPECT_EQ(p.write_accesses(), m.write_accesses);
+    }
   }
 }
 
@@ -213,17 +246,22 @@ TEST_P(StackDistanceEquivalence, DiskReadsIndependentOfWritePolicy) {
   // The fetch curve the analyzer produces serves every write policy: under
   // LRU the residency evolution — hence disk_reads — is policy-invariant.
   const Trace trace = RwTrace(GetParam() + 7);
-  const StackDistanceProfile p = ComputeStackDistances(trace, 4096);
-  for (uint64_t capacity : {3u, 17u, 96u}) {
-    for (WritePolicy policy : {WritePolicy::kWriteThrough, WritePolicy::kFlushBack,
-                               WritePolicy::kDelayedWrite}) {
-      CacheConfig c;
-      c.size_bytes = capacity * 4096;
-      c.block_size = 4096;
-      c.policy = policy;
-      const CacheMetrics m = SimulateCache(trace, c);
-      EXPECT_EQ(p.FetchMissesAt(capacity), m.disk_reads)
-          << "capacity " << capacity << " policy " << WritePolicyName(policy);
+  for (const StackDistanceProfile& p : UnboundedAndCapped(trace)) {
+    for (uint64_t capacity : {3u, 17u, 24u, 96u}) {
+      if (!Answers(p, capacity)) {
+        continue;
+      }
+      for (WritePolicy policy : {WritePolicy::kWriteThrough, WritePolicy::kFlushBack,
+                                 WritePolicy::kDelayedWrite}) {
+        CacheConfig c;
+        c.size_bytes = capacity * 4096;
+        c.block_size = 4096;
+        c.policy = policy;
+        const CacheMetrics m = SimulateCache(trace, c);
+        EXPECT_EQ(p.FetchMissesAt(capacity), m.disk_reads)
+            << "capacity " << capacity << " policy " << WritePolicyName(policy) << " bound "
+            << p.max_capacity();
+      }
     }
   }
 }
@@ -247,6 +285,94 @@ TEST_P(StackDistanceEquivalence, MattsonCompactionInvariance) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StackDistanceEquivalence, ::testing::Values(5, 17, 29, 43));
+
+class StackDistanceBound : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(StackDistanceBound, CappedPassMatchesUnboundedUpToTheBound) {
+  // A pass capped at K must give the unbounded pass's answer at every
+  // capacity 1..K.  Small bounds and slot spaces make drops and compactions
+  // frequent; RwTrace brings unlinks, non-zero truncates and overwrites.
+  const Trace trace = RwTrace(GetParam(), 1200);
+  const StackDistanceProfile full = ComputeStackDistances(trace, 4096);
+  for (const uint64_t bound : {4u, 9u, 23u, 64u}) {
+    for (const size_t slots : {2u, 5u, 8u}) {
+      SCOPED_TRACE("bound " + std::to_string(bound) + " slots " + std::to_string(slots));
+      StackDistanceAnalyzer::Options capped;
+      capped.max_capacity = bound;
+      capped.initial_slots = slots;
+      const StackDistanceProfile p = ComputeStackDistances(trace, 4096, capped);
+      EXPECT_EQ(p.max_capacity(), bound);
+      EXPECT_EQ(p.total_accesses(), full.total_accesses());
+      EXPECT_EQ(p.fetch_accesses(), full.fetch_accesses());
+      EXPECT_EQ(p.cold_misses(), full.cold_misses());
+      for (uint64_t capacity = 1; capacity <= bound; ++capacity) {
+        EXPECT_EQ(p.MissesAt(capacity), full.MissesAt(capacity)) << capacity;
+        EXPECT_EQ(p.FetchMissesAt(capacity), full.FetchMissesAt(capacity)) << capacity;
+      }
+      // Every distance past the bound is folded into K + 1.
+      const std::vector<uint64_t>& all = full.distance_counts();
+      std::vector<uint64_t> folded(bound + 2, 0);
+      for (size_t d = 0; d < all.size(); ++d) {
+        folded[std::min<size_t>(d, bound + 1)] += all[d];
+      }
+      ASSERT_GT(folded[bound + 1], 0u) << "the trace never reaches past the bound";
+      EXPECT_EQ(p.distance_counts(), folded);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StackDistanceBound, ::testing::Values(3, 19, 61));
+
+// Reads one-block file 1, then `fillers` other one-block files, optionally
+// unlinks file 1, and reads it again.
+Trace RereadAfterFillers(int fillers, bool unlink_first) {
+  TraceBuilder b;
+  double t = 1;
+  OpenId oid = 1;
+  b.WholeRead(t, t + 0.1, oid++, 1, 4096);
+  for (int f = 0; f < fillers; ++f) {
+    t += 1;
+    b.WholeRead(t, t + 0.1, oid++, static_cast<FileId>(100 + f), 4096);
+  }
+  if (unlink_first) {
+    t += 1;
+    b.Unlink(t, 1);
+  }
+  t += 1;
+  b.WholeRead(t, t + 0.1, oid++, 1, 4096);
+  return b.Build();
+}
+
+StackDistanceAnalyzer::Options CappedAt(uint64_t bound) {
+  StackDistanceAnalyzer::Options options;
+  options.max_capacity = bound;
+  options.initial_slots = 2;
+  return options;
+}
+
+TEST(StackDistance, BlockPushedPastTheBoundMissesButIsNotCold) {
+  // Twenty fillers push file 1 far past K = 2; compactions every few
+  // accesses drop it, and its re-read is a capacity miss at distance K + 1.
+  const StackDistanceProfile p = ComputeStackDistances(RereadAfterFillers(20, false), 4096,
+                                                       CappedAt(2));
+  EXPECT_EQ(p.total_accesses(), 22u);
+  EXPECT_EQ(p.cold_misses(), 21u);
+  EXPECT_EQ(p.MissesAt(1), 22u);
+  EXPECT_EQ(p.MissesAt(2), 22u);
+  ASSERT_EQ(p.distance_counts().size(), 4u);
+  EXPECT_EQ(p.distance_counts()[3], 1u);
+}
+
+TEST(StackDistance, DroppedBlockUnlinkedThenRetouchedIsCold) {
+  // The unlink must reach the dropped block: its next touch is a first one.
+  const StackDistanceProfile p = ComputeStackDistances(RereadAfterFillers(20, true), 4096,
+                                                       CappedAt(2));
+  const StackDistanceProfile full = ComputeStackDistances(RereadAfterFillers(20, true), 4096);
+  EXPECT_EQ(p.total_accesses(), 22u);
+  EXPECT_EQ(p.cold_misses(), 22u);
+  EXPECT_EQ(full.cold_misses(), 22u);
+  EXPECT_EQ(p.MissesAt(2), 22u);
+}
 
 TEST(StackDistanceProfileThreads, MattsonConcurrentReadersAreSafe) {
   // Take() finalizes the prefix sums eagerly, so const accessors are safe

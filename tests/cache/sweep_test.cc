@@ -1,5 +1,6 @@
 #include "src/cache/sweep.h"
 
+#include <algorithm>
 #include <set>
 #include <string>
 
@@ -209,6 +210,61 @@ TEST(PlannedSweep, MetadataConfigsFallBackToPerConfigReplay) {
   EXPECT_EQ(planned.stack_passes, 1u);    // one (4 KB, no page-in) family
   EXPECT_TRUE(planned.parity);
   ExpectIdentical(planned.points.back().metrics, SimulateCache(log, meta), "metadata fallback");
+}
+
+TEST(PlannedSweep, Fig6AndFig7WorkCounts) {
+  // Deterministic plan shapes: Fig. 6's 24 configs are 6 block-size
+  // families of one delayed-write size each, Fig. 7's 12 two page-in
+  // families.  A planning regression shows here on any machine.
+  const ReplayLog log = ReplayLog::Build(MixedTrace(83, 300));
+  const PlannedSweep fig6 = RunPlannedSweep(log, Fig6Configs());
+  EXPECT_EQ(fig6.stack_passes, 6u);
+  EXPECT_EQ(fig6.fused_replays, 24u);
+  EXPECT_EQ(fig6.replay_fallbacks, 0u);
+  EXPECT_TRUE(fig6.parity);
+  const PlannedSweep fig7 = RunPlannedSweep(log, Fig7Configs());
+  EXPECT_EQ(fig7.stack_passes, 2u);
+  EXPECT_EQ(fig7.fused_replays, 12u);
+  EXPECT_EQ(fig7.replay_fallbacks, 0u);
+  EXPECT_TRUE(fig7.parity);
+}
+
+TEST(PlannedSweep, EachStackPassIsBoundedAtItsFamilysLargestSize) {
+  const ReplayLog log = ReplayLog::Build(MixedTrace(61, 300));
+  std::vector<CacheConfig> fig5_with_32mb = Fig5Configs();
+  fig5_with_32mb.push_back(fig5_with_32mb.back());
+  fig5_with_32mb.back().size_bytes = 32 << 20;
+  struct Case {
+    std::vector<CacheConfig> configs;
+    std::vector<uint64_t> curve_sizes;  // empty = SweepCurveSizes()
+  };
+  const std::vector<Case> cases = {
+      {Fig5Configs(), {}},
+      {Fig6Configs(), {}},
+      {Fig7Configs(), {}},
+      {fig5_with_32mb, {256 << 10}},  // a member above every curve size
+      {Fig5Configs(), {64 << 20}},    // a curve size above every member
+  };
+  for (size_t k = 0; k < cases.size(); ++k) {
+    const Case& c = cases[k];
+    const PlannedSweep planned = RunPlannedSweep(log, c.configs, c.curve_sizes);
+    EXPECT_TRUE(planned.parity) << "case " << k;
+    ASSERT_FALSE(planned.curves.empty());
+    for (const SweepCurve& curve : planned.curves) {
+      const std::vector<uint64_t> sizes =
+          c.curve_sizes.empty() ? SweepCurveSizes() : c.curve_sizes;
+      uint64_t largest = *std::max_element(sizes.begin(), sizes.end());
+      for (const CacheConfig& config : c.configs) {
+        if (config.block_size == curve.block_size &&
+            config.simulate_execve_pagein == curve.simulate_execve_pagein) {
+          largest = std::max(largest, config.size_bytes);
+        }
+      }
+      EXPECT_EQ(curve.profile.max_capacity(), largest / curve.block_size)
+          << "case " << k << " block " << curve.block_size << " pagein "
+          << curve.simulate_execve_pagein;
+    }
+  }
 }
 
 TEST(PlannedSweep, CurvesCoverRequestedAndConfigSizes) {
