@@ -27,8 +27,8 @@
 //   * client.size_bytes == 0 removes the client layer entirely: the shared
 //     replay front end (cache_level.h) drives the server level exactly as
 //     it drives a lone CacheLevel, making the degenerate hierarchy bit-
-//     identical to the single-level simulator with the server config — the
-//     parity gate bench_hier_cache enforces.
+//     identical to the single-level simulator with the server config, which
+//     HierarchyDegenerate.* and HierarchySweep.* check.
 //
 // One replay, many server sizes: clients get no feedback from the server,
 // so the stream a client layer sends down does not depend on the server

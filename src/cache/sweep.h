@@ -68,7 +68,7 @@ std::vector<CacheConfig> Fig7Configs();
 // `points` is bit-identical to RunCacheSweep(log, configs) in input order.
 // `parity` cross-checks the two engines where they overlap: for every LRU
 // non-metadata config, the Mattson curve's FetchMissesAt(block_count) must
-// equal the replayed disk_reads exactly; tests and benches check it.
+// equal the replayed disk_reads exactly; tests and the report check it.
 
 // The dense cache-size axis sampled by every Mattson curve (25 sizes in
 // quarter-octave steps from 256 KB to 16 MB, a superset of the paper's
@@ -118,7 +118,7 @@ PlannedSweep RunPlannedSweep(const ReplayLog& log, const std::vector<CacheConfig
 // group.  Rows with client size 0 collapse to single-level server replays,
 // which the planner serves through fused multi-lane simulators exactly as
 // RunPlannedSweep does — the degenerate topology IS the single-level
-// simulator.  The `parity` flag bench_hier_cache gates on covers both:
+// simulator.  The `parity` flag `trace_stream report` gates on covers both:
 // each fused group's first row is replayed through the degenerate
 // HierarchySimulator and compared bit-for-bit against its fused lane, and
 // one fanned-out row is replayed alone through SimulateHierarchy and

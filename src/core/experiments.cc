@@ -14,6 +14,8 @@
 #include "src/util/csv.h"
 #include "src/util/plot.h"
 #include "src/util/table.h"
+#include "src/workload/fleet.h"
+#include "src/workload/sharded_generator.h"
 
 namespace bsdtrace {
 namespace {
@@ -100,16 +102,6 @@ GenerationResult GenerateStandardTrace(const std::string& name) {
   return GenerateStandardTrace(name, StandardDuration(), seed);
 }
 
-StatusOr<TraceAnalysis> AnalyzeTraceFile(const std::string& path, unsigned threads) {
-  // Analyze() resolves threads == 0 to hardware concurrency and falls back to
-  // the serial streaming pass on its own when the file has no usable block
-  // index or threads <= 1; the result reports which engine ran (::mode).
-  AnalyzeOptions options;
-  options.path = path;
-  options.threads = threads;
-  return Analyze(options);
-}
-
 StandardSweeps RunStandardSweeps(const ReplayLog& log, unsigned threads) {
   StandardSweeps sweeps;
   auto take = [&sweeps](PlannedSweep&& planned, std::vector<SweepPoint>& points,
@@ -117,9 +109,6 @@ StandardSweeps RunStandardSweeps(const ReplayLog& log, unsigned threads) {
     points = std::move(planned.points);
     curves = std::move(planned.curves);
     sweeps.parity = sweeps.parity && planned.parity;
-    sweeps.stack_passes += planned.stack_passes;
-    sweeps.fused_replays += planned.fused_replays;
-    sweeps.replay_fallbacks += planned.replay_fallbacks;
   };
   take(RunPlannedSweep(log, Fig5Configs(), {}, threads), sweeps.fig5, sweeps.fig5_curves);
   take(RunPlannedSweep(log, Fig6Configs(), {}, threads), sweeps.fig6, sweeps.fig6_curves);
@@ -962,6 +951,22 @@ std::string RenderWorkingSetExtension(const Trace& trace) {
 
 namespace {
 
+// Opens `path`, hands a CsvWriter on it to `write`, and reports a failed
+// open or a failed write (a full disk surfaces only at flush).
+Status WriteCsvFile(const std::string& path, const std::function<void(CsvWriter&)>& write) {
+  std::ofstream out(path);
+  if (!out) {
+    return Status::Error("cannot open for writing: " + path);
+  }
+  CsvWriter csv(out);
+  write(csv);
+  out.flush();
+  if (!out) {
+    return Status::Error("write failed: " + path);
+  }
+  return Status::Ok();
+}
+
 // One CSV: column 0 is x; per trace two columns (count-weighted, byte-ish
 // weighted fraction) unless `panel_b` is null.
 Status WriteCdfCsv(const std::string& path, const std::vector<double>& xs, double x_scale,
@@ -970,34 +975,30 @@ Status WriteCdfCsv(const std::string& path, const std::vector<double>& xs, doubl
                    const std::string& a_suffix,
                    const std::function<const WeightedCdf&(const TraceAnalysis&)>& panel_b,
                    const std::string& b_suffix) {
-  std::ofstream out(path);
-  if (!out) {
-    return Status::Error("cannot open for writing: " + path);
-  }
-  CsvWriter csv(out);
-  std::vector<std::string> header = {x_name};
-  for (const auto& [name, a] : traces) {
-    header.push_back(name + a_suffix);
-  }
-  if (panel_b) {
+  return WriteCsvFile(path, [&](CsvWriter& csv) {
+    std::vector<std::string> header = {x_name};
     for (const auto& [name, a] : traces) {
-      header.push_back(name + b_suffix);
-    }
-  }
-  csv.WriteRow(header);
-  for (double x : xs) {
-    std::vector<std::string> row = {Cell(x, 3)};
-    for (const auto& [name, a] : traces) {
-      row.push_back(Cell(panel_a(*a).FractionAtOrBelow(x * x_scale), 4));
+      header.push_back(name + a_suffix);
     }
     if (panel_b) {
       for (const auto& [name, a] : traces) {
-        row.push_back(Cell(panel_b(*a).FractionAtOrBelow(x * x_scale), 4));
+        header.push_back(name + b_suffix);
       }
     }
-    csv.WriteRow(row);
-  }
-  return Status::Ok();
+    csv.WriteRow(header);
+    for (double x : xs) {
+      std::vector<std::string> row = {Cell(x, 3)};
+      for (const auto& [name, a] : traces) {
+        row.push_back(Cell(panel_a(*a).FractionAtOrBelow(x * x_scale), 4));
+      }
+      if (panel_b) {
+        for (const auto& [name, a] : traces) {
+          row.push_back(Cell(panel_b(*a).FractionAtOrBelow(x * x_scale), 4));
+        }
+      }
+      csv.WriteRow(row);
+    }
+  });
 }
 
 }  // namespace
@@ -1039,79 +1040,67 @@ Status ExportFigureCsvs(const std::string& dir, const std::vector<NamedAnalysis>
 }
 
 Status ExportSweepCsv(const std::string& path, const std::vector<SweepPoint>& points) {
-  std::ofstream out(path);
-  if (!out) {
-    return Status::Error("cannot open for writing: " + path);
-  }
-  CsvWriter csv(out);
-  csv.WriteRow({"cache_bytes", "block_bytes", "policy", "flush_s", "pagein", "metadata",
-                "logical_accesses", "disk_reads", "disk_writes", "miss_ratio"});
-  for (const SweepPoint& p : points) {
-    csv.WriteRow({Cell(static_cast<int64_t>(p.config.size_bytes)),
-                  Cell(static_cast<int64_t>(p.config.block_size)),
-                  WritePolicyName(p.config.policy),
-                  Cell(p.config.policy == WritePolicy::kFlushBack
-                           ? p.config.flush_interval.seconds()
-                           : 0.0,
-                       0),
-                  p.config.simulate_execve_pagein ? "1" : "0",
-                  p.config.simulate_metadata ? "1" : "0",
-                  Cell(static_cast<int64_t>(p.metrics.logical_accesses)),
-                  Cell(static_cast<int64_t>(p.metrics.disk_reads)),
-                  Cell(static_cast<int64_t>(p.metrics.disk_writes)),
-                  Cell(p.metrics.MissRatio(), 5)});
-  }
-  return Status::Ok();
+  return WriteCsvFile(path, [&](CsvWriter& csv) {
+    csv.WriteRow({"cache_bytes", "block_bytes", "policy", "flush_s", "pagein", "metadata",
+                  "logical_accesses", "disk_reads", "disk_writes", "miss_ratio"});
+    for (const SweepPoint& p : points) {
+      csv.WriteRow({Cell(static_cast<int64_t>(p.config.size_bytes)),
+                    Cell(static_cast<int64_t>(p.config.block_size)),
+                    WritePolicyName(p.config.policy),
+                    Cell(p.config.policy == WritePolicy::kFlushBack
+                             ? p.config.flush_interval.seconds()
+                             : 0.0,
+                         0),
+                    p.config.simulate_execve_pagein ? "1" : "0",
+                    p.config.simulate_metadata ? "1" : "0",
+                    Cell(static_cast<int64_t>(p.metrics.logical_accesses)),
+                    Cell(static_cast<int64_t>(p.metrics.disk_reads)),
+                    Cell(static_cast<int64_t>(p.metrics.disk_writes)),
+                    Cell(p.metrics.MissRatio(), 5)});
+    }
+  });
 }
 
 Status ExportCurveCsv(const std::string& path, const std::vector<SweepCurve>& curves) {
-  std::ofstream out(path);
-  if (!out) {
-    return Status::Error("cannot open for writing: " + path);
-  }
-  CsvWriter csv(out);
-  csv.WriteRow({"block_bytes", "pagein", "cache_bytes", "fetch_accesses", "fetch_misses",
-                "fetch_miss_ratio"});
-  for (const SweepCurve& curve : curves) {
-    for (size_t i = 0; i < curve.size_bytes.size(); ++i) {
-      csv.WriteRow({Cell(static_cast<int64_t>(curve.block_size)),
-                    curve.simulate_execve_pagein ? "1" : "0",
-                    Cell(static_cast<int64_t>(curve.size_bytes[i])),
-                    Cell(static_cast<int64_t>(curve.profile.fetch_accesses())),
-                    Cell(static_cast<int64_t>(curve.fetch_misses[i])),
-                    Cell(curve.fetch_miss_ratios[i], 5)});
+  return WriteCsvFile(path, [&](CsvWriter& csv) {
+    csv.WriteRow({"block_bytes", "pagein", "cache_bytes", "fetch_accesses", "fetch_misses",
+                  "fetch_miss_ratio"});
+    for (const SweepCurve& curve : curves) {
+      for (size_t i = 0; i < curve.size_bytes.size(); ++i) {
+        csv.WriteRow({Cell(static_cast<int64_t>(curve.block_size)),
+                      curve.simulate_execve_pagein ? "1" : "0",
+                      Cell(static_cast<int64_t>(curve.size_bytes[i])),
+                      Cell(static_cast<int64_t>(curve.profile.fetch_accesses())),
+                      Cell(static_cast<int64_t>(curve.fetch_misses[i])),
+                      Cell(curve.fetch_miss_ratios[i], 5)});
+      }
     }
-  }
-  return Status::Ok();
+  });
 }
 
 Status ExportHierarchyCsv(const std::string& path, const std::vector<HierarchyPoint>& points) {
-  std::ofstream out(path);
-  if (!out) {
-    return Status::Error("cannot open for writing: " + path);
-  }
-  CsvWriter csv(out);
-  csv.WriteRow({"client_bytes", "server_bytes", "block_bytes", "client_policy", "server_policy",
-                "clients", "logical_accesses", "client_disk_reads", "client_disk_writes",
-                "server_accesses", "disk_reads", "disk_writes", "client_hit_ratio",
-                "global_miss_ratio"});
-  for (const HierarchyPoint& p : points) {
-    csv.WriteRow({Cell(static_cast<int64_t>(p.config.client.size_bytes)),
-                  Cell(static_cast<int64_t>(p.config.server.size_bytes)),
-                  Cell(static_cast<int64_t>(p.config.server.block_size)),
-                  p.config.has_clients() ? WritePolicyName(p.config.client.policy) : "-",
-                  WritePolicyName(p.config.server.policy),
-                  Cell(static_cast<int64_t>(p.metrics.client_count)),
-                  Cell(static_cast<int64_t>(p.metrics.LogicalAccesses())),
-                  Cell(static_cast<int64_t>(p.metrics.client_total.disk_reads)),
-                  Cell(static_cast<int64_t>(p.metrics.client_total.disk_writes)),
-                  Cell(static_cast<int64_t>(p.metrics.server.logical_accesses)),
-                  Cell(static_cast<int64_t>(p.metrics.server.disk_reads)),
-                  Cell(static_cast<int64_t>(p.metrics.server.disk_writes)),
-                  Cell(p.metrics.ClientHitRatio(), 5),
-                  Cell(p.metrics.GlobalMissRatio(), 5)});
-  }
-  return Status::Ok();
+  return WriteCsvFile(path, [&](CsvWriter& csv) {
+    csv.WriteRow({"client_bytes", "server_bytes", "block_bytes", "client_policy", "server_policy",
+                  "clients", "logical_accesses", "client_disk_reads", "client_disk_writes",
+                  "server_accesses", "disk_reads", "disk_writes", "client_hit_ratio",
+                  "global_miss_ratio"});
+    for (const HierarchyPoint& p : points) {
+      csv.WriteRow({Cell(static_cast<int64_t>(p.config.client.size_bytes)),
+                    Cell(static_cast<int64_t>(p.config.server.size_bytes)),
+                    Cell(static_cast<int64_t>(p.config.server.block_size)),
+                    p.config.has_clients() ? WritePolicyName(p.config.client.policy) : "-",
+                    WritePolicyName(p.config.server.policy),
+                    Cell(static_cast<int64_t>(p.metrics.client_count)),
+                    Cell(static_cast<int64_t>(p.metrics.LogicalAccesses())),
+                    Cell(static_cast<int64_t>(p.metrics.client_total.disk_reads)),
+                    Cell(static_cast<int64_t>(p.metrics.client_total.disk_writes)),
+                    Cell(static_cast<int64_t>(p.metrics.server.logical_accesses)),
+                    Cell(static_cast<int64_t>(p.metrics.server.disk_reads)),
+                    Cell(static_cast<int64_t>(p.metrics.server.disk_writes)),
+                    Cell(p.metrics.ClientHitRatio(), 5),
+                    Cell(p.metrics.GlobalMissRatio(), 5)});
+    }
+  });
 }
 
 
@@ -1143,6 +1132,43 @@ AnalyzedTrace GenerateAndAnalyze(const std::string& name) {
   return t;
 }
 
+// The §7 extension's input: a fleet, so every hierarchy row has several
+// clients, generated at the standard length but at the profiles' own
+// intensity.
+constexpr char kHierarchyFleet[] = "fleet:2xA5+1xE3";
+
+struct FleetHierarchy {
+  size_t records = 0;
+  size_t instances = 0;
+  HierarchySweepResult sweep;
+};
+
+// Generates the fleet, builds its one replay log and runs the §7 grid.  The
+// trace is dropped once the log is built, the log once the sweep is done.
+StatusOr<FleetHierarchy> GenerateAndSweepFleet() {
+  StatusOr<FleetProfile> fleet = ParseFleetSpec(kHierarchyFleet);
+  if (!fleet.ok()) {
+    return fleet.status();
+  }
+  FleetGeneratorOptions options;
+  options.base.duration = StandardDuration();
+  options.base.seed = 19851201;
+  options.shards_per_machine = 2;
+  FleetHierarchy run;
+  ReplayLog log;
+  {
+    StatusOr<FleetGenerationResult> generated = GenerateFleetTrace(fleet.value(), options);
+    if (!generated.ok()) {
+      return generated.status();
+    }
+    run.records = generated.value().trace.size();
+    log = ReplayLog::Build(generated.value().trace);
+  }
+  run.instances = log.instance_count();
+  run.sweep = RunHierarchySweep(log, HierarchySweepConfigs());
+  return run;
+}
+
 // One report section: its heading and the body printed under it.
 struct ReportSection {
   const char* title;
@@ -1156,15 +1182,18 @@ bool WriteReport(std::FILE* out) {
   const char* csv_env = std::getenv("BSDTRACE_CSV_DIR");
   const std::string csv_dir = csv_env != nullptr ? csv_env : "";
   std::fprintf(out, "%sbsdtrace report: the tables and figures of Ousterhout et al., SOSP 1985,\n"
-               "with three ablations and four extensions\n"
+               "with three ablations and five extensions\n"
                "synthetic traces, %.1f simulated hours each (set BSDTRACE_HOURS to change)\n%s",
                kRule, StandardDuration().hours(), kRule);
   std::fflush(out);
 
   // The three machines are independent: E3 and C4 generate and analyze on
-  // their own threads while A5 does and then builds its replay log.
+  // their own threads while A5 does and then builds its replay log.  The §7
+  // fleet generates and sweeps on a fourth.
   std::future<AnalyzedTrace> e3_future = std::async(std::launch::async, GenerateAndAnalyze, "E3");
   std::future<AnalyzedTrace> c4_future = std::async(std::launch::async, GenerateAndAnalyze, "C4");
+  std::future<StatusOr<FleetHierarchy>> hierarchy_future =
+      std::async(std::launch::async, GenerateAndSweepFleet);
   const AnalyzedTrace a5 = GenerateAndAnalyze("A5");
   const ReplayLog log = ReplayLog::Build(a5.generated.trace);
   const StandardSweeps sweeps = RunStandardSweeps(log);
@@ -1188,6 +1217,7 @@ bool WriteReport(std::FILE* out) {
            ExportNote(curves_path, ExportCurveCsv(curves_path, curves));
   };
   bool stack_parity = false;
+  std::string hierarchy_failure;
   const std::vector<ReportSection> sections = {
       {"Table I — selected results", "Table I",
        [&] { return RenderTable1(a5.analysis, sweeps.fig5, sweeps.fig6) + "\n"; }},
@@ -1270,6 +1300,29 @@ bool WriteReport(std::FILE* out) {
          return RenderStackDistanceExtension(log, sweeps.fig5_curves.front().profile,
                                              &stack_parity);
        }},
+      {"extension — client/server cache hierarchy", "§7, extension beyond the paper",
+       [&] {
+         const StatusOr<FleetHierarchy> run = hierarchy_future.get();
+         if (!run.ok()) {
+           hierarchy_failure = "cannot generate the fleet trace: " + run.status().message();
+           return std::string();
+         }
+         const FleetHierarchy& h = run.value();
+         if (!h.sweep.parity) {
+           hierarchy_failure = "the hierarchy sweep diverges from its reference replays";
+         }
+         std::string body = std::string(kHierarchyFleet) + " trace: " +
+                            std::to_string(h.records) + " records from " +
+                            std::to_string(h.instances) +
+                            " machine instance(s), one client\ncache each "
+                            "(BSDTRACE_INTENSITY does not apply to this trace).\n\n" +
+                            RenderHierarchySweep(h.sweep);
+         if (!csv_dir.empty()) {
+           const std::string path = csv_dir + "/hier_sweep.csv";
+           body += "\n" + ExportNote(path, ExportHierarchyCsv(path, h.sweep.points));
+         }
+         return body;
+       }},
       {"extension — file popularity", "Fig. 2 discussion (§5.2)",
        [&] {
          return RenderPopularityExtension({{"A5", &a5.generated.trace},
@@ -1295,7 +1348,10 @@ bool WriteReport(std::FILE* out) {
   if (!stack_parity) {
     std::fprintf(stderr, "FAIL: one-pass fetch misses diverge from the simulator\n");
   }
-  return sweeps.parity && stack_parity;
+  if (!hierarchy_failure.empty()) {
+    std::fprintf(stderr, "FAIL: %s\n", hierarchy_failure.c_str());
+  }
+  return sweeps.parity && stack_parity && hierarchy_failure.empty();
 }
 
 }  // namespace bsdtrace

@@ -35,13 +35,6 @@ GenerationResult GenerateStandardTrace(const std::string& name);
 GenerationResult GenerateStandardTrace(const std::string& name, Duration duration,
                                        uint64_t seed);
 
-// Analyzes a binary trace file without loading it into memory.  With more
-// than one thread and a v3 file carrying a block index, the segmented
-// parallel analyzer runs — bit-identical to the serial pass by construction;
-// v1/v2 (or index-less) files fall back to the serial streaming pass.
-// threads == 0 means hardware concurrency.
-StatusOr<TraceAnalysis> AnalyzeTraceFile(const std::string& path, unsigned threads = 0);
-
 // -- Section 5 renderings -----------------------------------------------------
 
 // Table III: overall statistics for each trace.
@@ -82,9 +75,6 @@ struct StandardSweeps {
   // True iff every Mattson prediction matched its replayed config
   // bit-for-bit (AND of the three planned sweeps' parity flags).
   bool parity = true;
-  size_t stack_passes = 0;
-  size_t fused_replays = 0;
-  size_t replay_fallbacks = 0;
 };
 StandardSweeps RunStandardSweeps(const ReplayLog& log, unsigned threads = 0);
 
@@ -148,10 +138,13 @@ std::string RenderWorkingSetExtension(const Trace& trace);
 // Generates A5, E3 and C4 once (GenerateStandardTrace: BSDTRACE_HOURS,
 // BSDTRACE_INTENSITY), analyzes each once, builds A5's replay logs once, and
 // writes every section to `out` in paper order: Tables I and III-V, Figures
-// 1-7 with Tables VI-VII, the three ablations and the four extensions.  With
+// 1-7 with Tables VI-VII, the three ablations and the five extensions.  The
+// §7 hierarchy extension runs on its own 2xA5+1xE3 fleet trace of the same
+// length (seed 19851201; BSDTRACE_INTENSITY does not apply to it).  With
 // BSDTRACE_CSV_DIR set, the figure and sweep series are exported there too.
-// Returns false when a planned-sweep parity flag or the one-pass stack-
-// distance check fails (the report is still written in full).
+// Returns false when a planned-sweep parity flag, the one-pass stack-
+// distance check or the hierarchy sweep's parity fails, or the fleet trace
+// cannot be generated (the report is still written in full).
 bool WriteReport(std::FILE* out);
 
 // -- Machine-readable export --------------------------------------------------

@@ -1,5 +1,7 @@
 #include "src/core/trace_stream_cli.h"
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cerrno>
 #include <cmath>
@@ -45,15 +47,10 @@ int Usage();
 
 // Strict numeric parsers: the whole string must parse and land in range.
 // All integer flags route through the one checked parser in src/util/parse.h
-// (sign, overflow, and trailing garbage all reject — the CLI used to run
-// arguments through bare strtoull/atoi, which wrapped "18446744073709551616"
-// and read "8oops" as 8, silently generating the wrong trace).
-
-bool ParseU64Arg(const std::string& s, uint64_t* out) { return ParseUint64(s, out); }
-
-bool ParseIntArg(const std::string& s, int min, int max, int* out) {
-  return ParseInt32InRange(s, min, max, out);
-}
+// (ParseUint64, ParseInt32InRange: sign, overflow, and trailing garbage all
+// reject — the CLI used to run arguments through bare strtoull/atoi, which
+// wrapped "18446744073709551616" and read "8oops" as 8, silently generating
+// the wrong trace).
 
 bool ParseHoursArg(const std::string& s, double* out) {
   if (s.empty()) {
@@ -124,16 +121,20 @@ const std::vector<FlagSpec>& FlagTable() {
        }},
       {"users", true, "N", "population-scale every machine instance to N users (0: native)",
        [](CliOptions* o, const std::string& v) {
-         return ParseIntArg(v, 0, 1000000, &o->users);
+         return ParseInt32InRange(v, 0, 1000000, &o->users);
        }},
       {"hours", true, "H", "simulated trace duration in hours",
        [](CliOptions* o, const std::string& v) { return ParseHoursArg(v, &o->hours); }},
       {"shards", true, "S", "generator shards per machine instance",
-       [](CliOptions* o, const std::string& v) { return ParseIntArg(v, 1, 4096, &o->shards); }},
+       [](CliOptions* o, const std::string& v) {
+         return ParseInt32InRange(v, 1, 4096, &o->shards);
+       }},
       {"threads", true, "T", "worker threads (0: hardware concurrency)",
-       [](CliOptions* o, const std::string& v) { return ParseIntArg(v, 0, 4096, &o->threads); }},
+       [](CliOptions* o, const std::string& v) {
+         return ParseInt32InRange(v, 0, 4096, &o->threads);
+       }},
       {"seed", true, "X", "generation seed (deterministic per seed)",
-       [](CliOptions* o, const std::string& v) { return ParseU64Arg(v, &o->seed); }},
+       [](CliOptions* o, const std::string& v) { return ParseUint64(v, &o->seed); }},
       {"compress", true, "none|ans",
        "ans writes v4 blocks compressed per column with rANS (default none: v3 bytes)",
        [](CliOptions* o, const std::string& v) {
@@ -144,7 +145,7 @@ const std::vector<FlagSpec>& FlagTable() {
        "generate the fleet in bounded-memory waves of at most N scaled users "
        "(stream is wave-invariant)",
        [](CliOptions* o, const std::string& v) {
-         return ParseIntArg(v, 0, 100000000, &o->wave_users);
+         return ParseInt32InRange(v, 0, 100000000, &o->wave_users);
        }},
       {"check-bands", false, "", "gate on the Table I per-user activity bands",
        [](CliOptions* o, const std::string&) {
@@ -160,10 +161,12 @@ const std::vector<FlagSpec>& FlagTable() {
          return v == "fig5" || v == "fig6" || v == "fig7" || v == "hier";
        }},
       {"analyzers", true, "K", "rolling analyzers fed from the ring",
-       [](CliOptions* o, const std::string& v) { return ParseIntArg(v, 1, 64, &o->analyzers); }},
+       [](CliOptions* o, const std::string& v) {
+         return ParseInt32InRange(v, 1, 64, &o->analyzers);
+       }},
       {"capacity", true, "C", "ring capacity in records",
        [](CliOptions* o, const std::string& v) {
-         return ParseIntArg(v, 2, 1 << 24, &o->capacity);
+         return ParseInt32InRange(v, 2, 1 << 24, &o->capacity);
        }},
       {"policy", true, "block|drop-oldest", "ring overflow policy",
        [](CliOptions* o, const std::string& v) {
@@ -451,13 +454,13 @@ int CmdGenerate(int argc, const char* const* argv) {
   if (positional.size() > 2 && !ParseHoursArg(positional[2], &opt.hours)) {
     return BadArg("hours", positional[2]);
   }
-  if (positional.size() > 3 && !ParseIntArg(positional[3], 1, 4096, &opt.shards)) {
+  if (positional.size() > 3 && !ParseInt32InRange(positional[3], 1, 4096, &opt.shards)) {
     return BadArg("shards", positional[3]);
   }
-  if (positional.size() > 4 && !ParseIntArg(positional[4], 0, 4096, &opt.threads)) {
+  if (positional.size() > 4 && !ParseInt32InRange(positional[4], 0, 4096, &opt.threads)) {
     return BadArg("threads", positional[4]);
   }
-  if (positional.size() > 5 && !ParseU64Arg(positional[5], &opt.seed)) {
+  if (positional.size() > 5 && !ParseUint64(positional[5], &opt.seed)) {
     return BadArg("seed", positional[5]);
   }
   if (const int rc = ParseFlags(sub, flags, &opt); rc != 0) {
@@ -878,12 +881,27 @@ int CmdExport(int argc, const char* const* argv) {
   }
   Status s = Status::Ok();
   if (!opt.out.empty()) {
-    std::ofstream out(opt.out);
+    // Published as TraceFileWriter publishes a binary trace: written beside
+    // --out and renamed over it only when complete, so a failed export
+    // leaves no partial file and an existing --out file untouched.
+    const std::string temp = opt.out + ".tmp-" + std::to_string(::getpid());
+    std::ofstream out(temp);
     if (!out.is_open()) {
       std::fprintf(stderr, "cannot write %s\n", opt.out.c_str());
       return 1;
     }
     s = WriteTextTrace(out, source);
+    out.close();
+    if (s.ok() && !out) {
+      s = Status::Error("cannot close " + temp);
+    }
+    if (s.ok() && std::rename(temp.c_str(), opt.out.c_str()) != 0) {
+      s = Status::Error("cannot rename " + temp + " to " + opt.out + ": " +
+                        std::strerror(errno));
+    }
+    if (!s.ok()) {
+      std::remove(temp.c_str());
+    }
   } else {
     s = WriteTextTrace(std::cout, source);
   }
@@ -992,7 +1010,7 @@ int CmdTop(int argc, const char* const* argv) {
     return rc;
   }
   uint64_t n = 10;
-  if (positional.size() > 1 && !ParseU64Arg(positional[1], &n)) {
+  if (positional.size() > 1 && !ParseUint64(positional[1], &n)) {
     return BadArg("n", positional[1]);
   }
   Trace trace;

@@ -25,8 +25,10 @@
 // `validate`, `slice`, `users` and `top` load the whole trace (any format
 // version, v1 through v4): the structural validator, a time-window cut
 // written as v4, per-user event counts, and file popularity.  `report`
-// generates the three standard traces and prints every table, figure,
-// ablation and extension of the reproduction (experiments.h, WriteReport).
+// generates the three standard traces and the §7 fleet trace and prints
+// every table, figure, ablation and extension of the reproduction
+// (experiments.h, WriteReport).  `export --out` writes a temporary file
+// and renames it over the target only when the export is complete.
 //
 // `generate` accepts a machine profile name (A5/E3/C4) or a fleet spec
 // ("fleet:4xA5+2xE3+2xC4"; workload/fleet.h) and always generates through

@@ -284,6 +284,11 @@ TEST(HierarchySweep, FannedOutRowsMatchPerRowReplay) {
     EXPECT_TRUE(CacheMetricsBitIdentical(fanned.client_total, alone.client_total)) << row;
     EXPECT_TRUE(CacheMetricsBitIdentical(fanned.server, alone.server)) << row;
     EXPECT_TRUE(HierarchyMetricsBitIdentical(fanned, alone)) << row;
+    if (!configs[i].has_clients()) {
+      // The degenerate topology is the single-level simulator.
+      EXPECT_TRUE(CacheMetricsBitIdentical(fanned.server, SimulateCache(log, configs[i].server)))
+          << row;
+    }
   }
 }
 

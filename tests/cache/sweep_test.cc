@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/experiments.h"
 #include "src/util/rng.h"
 #include "src/workload/fleet.h"
 #include "src/workload/generator.h"
@@ -150,6 +151,10 @@ std::vector<CacheConfig> AllFigureConfigs() {
   return configs;
 }
 
+// Every planned point against its own replay, and every sample of every
+// Mattson curve — each (block size, page-in) family at every sampled size,
+// not only the sizes some config names — against the disk_reads of a
+// delayed-write replay of that family and size.
 void ExpectPlannedMatchesReplayed(const Trace& trace, const std::vector<CacheConfig>& configs,
                                   unsigned threads) {
   const ReplayLog log = ReplayLog::Build(trace);
@@ -160,6 +165,27 @@ void ExpectPlannedMatchesReplayed(const Trace& trace, const std::vector<CacheCon
   for (size_t i = 0; i < replayed.size(); ++i) {
     ExpectIdentical(planned.points[i].metrics, replayed[i].metrics,
                     configs[i].ToString() + " threads=" + std::to_string(threads));
+  }
+
+  std::vector<CacheConfig> samples;
+  for (const SweepCurve& curve : planned.curves) {
+    ASSERT_EQ(curve.fetch_misses.size(), curve.size_bytes.size());
+    for (const uint64_t size : curve.size_bytes) {
+      CacheConfig c;
+      c.size_bytes = size;
+      c.block_size = curve.block_size;
+      c.policy = WritePolicy::kDelayedWrite;
+      c.simulate_execve_pagein = curve.simulate_execve_pagein;
+      samples.push_back(c);
+    }
+  }
+  const std::vector<SweepPoint> sample_replays = RunCacheSweep(log, samples, threads);
+  size_t k = 0;
+  for (const SweepCurve& curve : planned.curves) {
+    for (size_t i = 0; i < curve.size_bytes.size(); ++i, ++k) {
+      EXPECT_EQ(curve.fetch_misses[i], sample_replays[k].metrics.disk_reads)
+          << "curve sample " << samples[k].ToString() << " threads=" << threads;
+    }
   }
 }
 
@@ -334,6 +360,16 @@ TEST_P(PlannedSweepProfiles, MatchesReplayedSweepOnGeneratedTrace) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Machines, PlannedSweepProfiles, ::testing::Values("A5", "E3", "C4"));
+
+// The standard A5 trace at two hours, every Fig. 5-7 config: the curve
+// families at the length the report's CI run uses.
+TEST(PlannedSweep, TwoHourA5EveryFigureMatchesReplayedSweep) {
+  const GenerationResult a5 = GenerateStandardTrace("A5", Duration::Hours(2), 19851201);
+  ASSERT_GT(a5.trace.size(), 0u);
+  for (const unsigned threads : {1u, 4u}) {
+    ExpectPlannedMatchesReplayed(a5.trace, AllFigureConfigs(), threads);
+  }
+}
 
 TEST(PlannedSweep, MatchesReplayedSweepOnFleetTrace) {
   auto fleet = ParseFleetSpec("2xA5+1xE3");

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -161,6 +162,41 @@ TEST(SweepCsvExport, MissingDirectoryIsCleanError) {
   const Status st = ExportSweepCsv(path, {});
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("cannot open"), std::string::npos) << st.message();
+}
+
+// A write the device refuses must come back as an error, not as an export
+// the caller reports done: /dev/full accepts the open and fails every flush.
+// ExportFigureCsvs reaches it through a symlink named like its first file.
+TEST(CsvExport, WriteFailureIsReported) {
+  if (!fs::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full on this system";
+  }
+  std::vector<SweepPoint> points(2000);
+  std::vector<SweepCurve> curves(1);
+  curves[0].size_bytes = {256 << 10, 512 << 10};
+  curves[0].fetch_misses = {10, 5};
+  curves[0].fetch_miss_ratios = {0.1, 0.05};
+  std::vector<HierarchyPoint> hierarchy(60);
+  const std::vector<std::pair<std::string, Status>> exports = {
+      {"sweep", ExportSweepCsv("/dev/full", points)},
+      {"curve", ExportCurveCsv("/dev/full", curves)},
+      {"hierarchy", ExportHierarchyCsv("/dev/full", hierarchy)},
+  };
+  for (const auto& [name, st] : exports) {
+    EXPECT_FALSE(st.ok()) << name;
+    EXPECT_NE(st.message().find("write failed"), std::string::npos)
+        << name << ": " << st.message();
+  }
+
+  const fs::path dir = TempPath("bsdtrace-csv-test-full");
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  fs::create_symlink("/dev/full", dir / "fig1_runs.csv");
+  const TraceAnalysis empty;
+  const Status st = ExportFigureCsvs(dir.string(), {{"A5", &empty}});
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("write failed"), std::string::npos) << st.message();
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -360,6 +360,72 @@ TEST(TraceStreamCli, ImportExportUsageErrors) {
   EXPECT_EQ(RunCaptured({"export", TempPath("no_such.trc")}, &err), 1);
 }
 
+// export --out publishes through a temporary file: a read error in the
+// second block fails the export (exit 1) without touching an existing --out
+// file or leaving the temporary behind.
+TEST(TraceStreamCli, FailedExportLeavesExistingOutputUntouched) {
+  TraceBuilder b;
+  for (int i = 0; i < 400; ++i) {
+    b.WholeRead(2.0 * i, 2.0 * i + 1.0, /*oid=*/i + 1, /*file=*/10 + i % 37, 4096 + 97 * i);
+  }
+  const Trace trace = b.Build();
+  const std::string path = TempPath("cli_export_v3.trc");
+  std::vector<TraceBlockIndexEntry> index;
+  {
+    TraceWriterOptions options;
+    options.version = 3;
+    options.block_target_bytes = 2048;
+    TraceFileWriter writer(path, trace.header(), static_cast<int64_t>(trace.size()), options);
+    for (const TraceRecord& r : trace.records()) {
+      writer.Append(r);
+    }
+    ASSERT_TRUE(writer.Finish().ok());
+    index = writer.index();
+  }
+  ASSERT_GT(index.size(), 2u);
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  const size_t victim = (index[1].offset + index[2].offset) / 2;
+  bytes[victim] = static_cast<char>(bytes[victim] ^ 0x10);
+  const std::string bad = TempPath("cli_export_v3_bad_second_block.trc");
+  {
+    std::ofstream o(bad, std::ios::binary | std::ios::trunc);
+    o.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  const std::string out = TempPath("cli_export_existing.txt");
+  const std::string previous = "# machine earlier export\n";
+  {
+    std::ofstream o(out, std::ios::binary | std::ios::trunc);
+    o << previous;
+  }
+  std::string err;
+  EXPECT_EQ(RunCaptured({"export", bad, "--out=" + out}, &err), 1);
+  EXPECT_NE(err.find("export failed"), std::string::npos) << err;
+  {
+    std::ifstream in(out, std::ios::binary);
+    EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()),
+              previous);
+  }
+  EXPECT_FALSE(FileExists(out + ".tmp-" + std::to_string(::getpid())));
+
+  // The intact file exports over it.
+  EXPECT_EQ(RunCaptured({"export", path, "--out=" + out}, &err), 0) << err;
+  EXPECT_FALSE(FileExists(out + ".tmp-" + std::to_string(::getpid())));
+  {
+    std::ifstream in(out, std::ios::binary);
+    std::string line;
+    ASSERT_TRUE(std::getline(in, line));
+    EXPECT_EQ(line, "# machine " + trace.header().machine);
+  }
+  std::remove(path.c_str());
+  std::remove(bad.c_str());
+  std::remove(out.c_str());
+}
+
 // -- validate / slice / users / top -------------------------------------------
 
 // Runs the CLI with stdout captured; returns the exit code.
@@ -575,6 +641,7 @@ TEST(TraceStreamCli, ReportRendersEverySection) {
       "ablation — flush-back interval sweep",
       "extension — i-node and directory overhead",
       "extension — one-pass stack-distance analysis",
+      "extension — client/server cache hierarchy",
       "extension — file popularity",
       "extension — working-set sizes",
   };
