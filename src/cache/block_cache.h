@@ -94,6 +94,12 @@ class BlockCache {
     return &At(*slot).entry;
   }
 
+  // Looks up a block without applying the replacement policy's touch.
+  CacheEntry* Find(const BlockKey& key) {
+    int32_t* slot = map_.Find(key);
+    return slot != nullptr ? &At(*slot).entry : nullptr;
+  }
+
   // Re-applies the replacement-policy touch to an entry already known to be
   // resident (e.g. one just returned by Insert): same effect as Touch on its
   // key, minus the hash lookup.
@@ -247,9 +253,16 @@ class BlockCache {
   uint64_t capacity() const { return capacity_; }
   uint64_t dirty_count() const { return dirty_count_; }
 
+  // The slot one step toward the most-recently-used end of the replacement
+  // order from resident `slot` (kNil at the head).  Under LRU, the nested
+  // simulator (simulator.h) walks it to keep each size's tail.
+  int32_t NewerSlot(int32_t slot) const { return slab_[static_cast<size_t>(slot)].lru_prev; }
+
+  static constexpr int32_t kNil = -1;  // no slot
+
   // Slot index of a resident entry (< capacity, stable while the block stays
   // resident; slots are reused after eviction).  Lets callers keep per-slot
-  // side tables — FusedCacheSimulator's per-policy dirty masks index by it.
+  // side tables — FusedCacheSimulator's per-size entry records index by it.
   // Entry pointers handed out by Touch/Insert point at the first member of a
   // slab node, so the slot is recoverable by pointer arithmetic.
   int32_t SlotOf(const CacheEntry* entry) const {
@@ -260,8 +273,6 @@ class BlockCache {
   }
 
  private:
-  static constexpr int32_t kNil = -1;
-
   // Slab node: the entry plus the intrusive replacement-order, per-file, and
   // dirty-chain links.  Free slots chain through lru_next.  Cache-line
   // aligned so a node never straddles two lines (it is exactly 64 bytes).

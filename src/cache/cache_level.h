@@ -1,38 +1,35 @@
 // One level of a disk-block cache hierarchy (paper §6 core, §7 topology),
 // and the replay front end every feed-driven cache engine shares.
 //
-// CacheLevel is the one cache core: the slab BlockCache plus everything the
-// paper's §6 policies decide per block — miss-fetch elision for whole-block
-// overwrites and blocks beyond the file's known extent, invalidation that
-// discards dirty blocks without a disk write, and residency accounting.
-// Two things vary at compile time:
+// CacheLevel is the per-config cache core: the slab BlockCache under one
+// write policy (write-through, flush-back(T) or delayed-write), plus
+// everything the paper's §6 policies decide per block — miss-fetch elision
+// for whole-block overwrites and blocks beyond the file's known extent,
+// invalidation that discards dirty blocks without a disk write, and
+// residency accounting.  What happens BELOW the level on a miss fetch or a
+// write-back varies at compile time (`Below`).  DiskBelow is the terminal
+// level: fetches and write-backs are disk I/Os and are already counted in
+// this level's own metrics.  A forwarding policy (hierarchy.h's ServerLink)
+// turns them into block accesses on a lower level, which is how the §7
+// client/server hierarchy stacks levels.
 //
-//   * Below — what happens BELOW the level on a miss fetch or a write-back.
-//     DiskBelow is the terminal level: fetches and write-backs are disk I/Os
-//     and are already counted in this level's own metrics.  A forwarding
-//     policy (hierarchy.h's ServerLink) turns them into block accesses on a
-//     lower CacheLevel, which is how the §7 client/server hierarchy stacks
-//     levels.
-//   * Writes — the write state.  DirtyBitWrites keeps a dirty bit per block
-//     on BlockCache's intrusive dirty chain, runs flush-back scans over it
-//     and sends every write-back Below: one write policy per level.
-//     simulator.h's FusedLaneWrites (DiskBelow only) derives several write
-//     policies' disk writes from one per-slot write history; the fused
-//     simulator is CacheLevel<DiskBelow, FusedLaneWrites>.
+// The write state is a dirty bit per block on BlockCache's intrusive dirty
+// chain: flush-back scans walk that chain, and every write-back goes Below.
+// Invalidation never writes: dirty blocks of deleted files vanish without
+// traffic at ANY level (the effect that makes large delayed-write caches
+// absorb most writes entirely); lower levels are instead invalidated
+// explicitly by the hierarchy simulator.
 //
-// The write state is consulted at five points and nowhere else: a clock
-// advance, an eviction, an install, a write access and an invalidation
-// drop.  Invalidation never writes: dirty blocks of deleted files vanish
-// without traffic at ANY level (the effect that makes large delayed-write
-// caches absorb most writes entirely); lower levels are instead
-// invalidated explicitly by the hierarchy driver.
+// The other cache engine, simulator.h's FusedCacheSimulator, serves every
+// size and write policy of one LRU family from a single replay; CacheLevel
+// is the reference it is checked against.
 //
 // ReplayFrontEnd is the one path from a ReplayLog to an engine's blocks:
 // the extent feeds, the record -> invalidate / page-in / clock mapping and
-// the instance-attributed entry points.  CacheLevel, HierarchySimulator and
-// StackDistanceAnalyzer are its engines; each keeps only AccessBlocks,
-// Invalidate, AdvanceClock and Finish.  The one reference twin that tracks
-// extents itself is CacheSimulator (simulator.h).
+// the instance-attributed entry points.  CacheLevel, FusedCacheSimulator,
+// HierarchySimulator and StackDistanceAnalyzer are its engines; each keeps
+// only AccessBlocks, Invalidate, AdvanceClock and Finish.  The one reference
+// twin that tracks extents itself is CacheSimulator (simulator.h).
 //
 // Templates (rather than virtual interfaces) keep the hot path free of
 // indirect calls: with DiskBelow the hooks compile to nothing.
@@ -44,7 +41,6 @@
 #include <cassert>
 #include <cstdint>
 #include <string>
-#include <utility>
 
 #include "src/cache/block_cache.h"
 #include "src/trace/replay_log.h"
@@ -227,93 +223,50 @@ struct DiskBelow {
   void OnWriteBack(SimTime, const BlockKey&) {}
 };
 
-// Per-block write state: the dirty bit and intrusive dirty chain BlockCache
-// keeps, under the level's one write policy (write-through, flush-back(T)
-// or delayed-write).  Every write-back goes through the level's Below.
-class DirtyBitWrites {
- public:
-  explicit DirtyBitWrites(const CacheConfig& config)
-      : policy_(config.policy),
-        flush_interval_(config.flush_interval),
-        next_flush_(SimTime::Origin() + config.flush_interval) {}
-
-  // Runs the flush-back scans that came due by `now`.  Inline: runs on
-  // every clock advance and is almost always just the two compares.
-  template <typename Level>
-  void OnClock(Level& level, SimTime now) {
-    if (policy_ != WritePolicy::kFlushBack) {
-      return;
-    }
-    while (now >= next_flush_) {
-      // O(dirty blocks): walks the cache's intrusive dirty chain, not the
-      // whole cache.  The scan semantically runs at the epoch boundary, so
-      // write-backs are forwarded below at that time, not at `now`.
-      const SimTime flush_time = next_flush_;
-      level.cache_.DrainDirty(
-          [&level, flush_time](CacheEntry& entry) { level.WriteBack(flush_time, entry.key); });
-      next_flush_ += flush_interval_;
-    }
+// Adds one residency sample: the time a block stayed in a cache, from
+// entering it to leaving it (evicted, invalidated or censored at the end).
+inline void AddResidency(CacheMetrics& metrics, SimTime loaded, SimTime left) {
+  const double seconds = (left - loaded).seconds();
+  metrics.residency_seconds.Add(seconds);
+  metrics.residency_samples += 1;
+  if (seconds > 20.0 * 60.0) {
+    metrics.residency_over_20min += 1;
   }
+}
 
-  template <typename Level>
-  void OnEvict(Level& level, SimTime now, const CacheEntry& victim) {
-    if (victim.dirty) {
-      level.WriteBack(now, victim.key);  // delayed/flush-back eviction write-back
-    }
-  }
-
-  template <typename Level>
-  void OnInstall(Level&, CacheEntry&) {}  // Insert hands out a clean entry
-
-  template <typename Level>
-  void OnWrite(Level& level, SimTime now, CacheEntry* entry) {
-    if (policy_ == WritePolicy::kWriteThrough) {
-      level.WriteBack(now, entry->key);  // every modification goes below
-      // The cached copy stays clean: the level below is up to date.
-      if (entry->dirty) {
-        level.cache_.MarkClean(entry);
-      }
-    } else if (!entry->dirty) {
-      level.cache_.MarkDirty(entry);
-      entry->dirtied = now;
-    }
-  }
-
-  template <typename Level>
-  void OnDrop(Level& level, const CacheEntry& dropped) {
-    if (dropped.dirty) {
-      level.metrics_.dirty_discarded += 1;  // never reaches disk
-    }
-  }
-
- private:
-  WritePolicy policy_;
-  Duration flush_interval_;
-  SimTime next_flush_;
-};
-
-// One cache level.  Driven through the replay front end, or directly via
-// AccessBlocks/AccessBlock/Invalidate/AdvanceClock by a caller that owns
-// the trace semantics (CacheSimulator's reference path, the hierarchy).
-template <typename Below = DiskBelow, typename Writes = DirtyBitWrites>
-class CacheLevel : public ReplayFrontEnd<CacheLevel<Below, Writes>> {
+// One cache level under one write policy.  Driven through the replay front
+// end, or directly via AccessBlocks/AccessBlock/Invalidate/AdvanceClock by a
+// caller that owns the trace semantics (CacheSimulator's reference path,
+// the hierarchy's client layer).
+template <typename Below = DiskBelow>
+class CacheLevel : public ReplayFrontEnd<CacheLevel<Below>> {
  public:
   explicit CacheLevel(const CacheConfig& config, Below below = Below{})
-      : CacheLevel(config, below, Writes(config)) {}
-  CacheLevel(const CacheConfig& config, Below below, Writes writes)
       : ReplayFrontEnd<CacheLevel>(config.simulate_execve_pagein),
         config_(config),
         cache_(config.block_count(), config.replacement),
         below_(below),
-        writes_(std::move(writes)) {}
+        next_flush_(SimTime::Origin() + config.flush_interval) {}
 
-  // Advances the simulation clock and lets the write state run whatever
-  // came due (flush-back epochs).
+  // Advances the simulation clock and runs the flush-back scans that came
+  // due.  Inline: runs on every clock advance and is almost always just the
+  // two compares.
   void AdvanceClock(SimTime now) {
     if (now > now_) {
       now_ = now;
     }
-    writes_.OnClock(*this, now_);
+    if (config_.policy != WritePolicy::kFlushBack) {
+      return;
+    }
+    while (now_ >= next_flush_) {
+      // O(dirty blocks): walks the cache's intrusive dirty chain, not the
+      // whole cache.  The scan semantically runs at the epoch boundary, so
+      // write-backs are forwarded below at that time, not at `now`.
+      const SimTime flush_time = next_flush_;
+      cache_.DrainDirty(
+          [this, flush_time](CacheEntry& entry) { WriteBack(flush_time, entry.key); });
+      next_flush_ += config_.flush_interval;
+    }
   }
 
   // One block access.  `known_extent` is the caller's one-per-transfer read
@@ -341,14 +294,25 @@ class CacheLevel : public ReplayFrontEnd<CacheLevel<Below, Writes>> {
       }
       entry = cache_.Insert(key, now, [this, now](const CacheEntry& victim) {
         metrics_.evictions += 1;
-        RecordResidency(now, victim);
-        writes_.OnEvict(*this, now, victim);
+        AddResidency(metrics_, victim.loaded, now);
+        if (victim.dirty) {
+          WriteBack(now, victim.key);  // delayed/flush-back eviction write-back
+        }
       });
       cache_.Retouch(entry);  // same policy action the hit path's Touch applies
-      writes_.OnInstall(*this, *entry);
     }
-    if (is_write) {
-      writes_.OnWrite(*this, now, entry);
+    if (!is_write) {
+      return;
+    }
+    if (config_.policy == WritePolicy::kWriteThrough) {
+      WriteBack(now, entry->key);  // every modification goes below
+      // The cached copy stays clean: the level below is up to date.
+      if (entry->dirty) {
+        cache_.MarkClean(entry);
+      }
+    } else if (!entry->dirty) {
+      cache_.MarkDirty(entry);
+      entry->dirtied = now;
     }
   }
 
@@ -372,8 +336,10 @@ class CacheLevel : public ReplayFrontEnd<CacheLevel<Below, Writes>> {
     const uint64_t first_block =
         (first_byte + config_.block_size - 1) / config_.block_size;  // whole blocks only
     cache_.RemoveFileBlocks(file, first_block, [this, now](const CacheEntry& dropped) {
-      RecordResidency(now, dropped);
-      writes_.OnDrop(*this, dropped);
+      AddResidency(metrics_, dropped.loaded, now);
+      if (dropped.dirty) {
+        metrics_.dirty_discarded += 1;  // never reaches disk
+      }
     });
   }
 
@@ -385,30 +351,18 @@ class CacheLevel : public ReplayFrontEnd<CacheLevel<Below, Writes>> {
       return;
     }
     finished_ = true;
-    cache_.ForEach([this](CacheEntry& entry) { RecordResidency(now_, entry); });
+    cache_.ForEach([this](CacheEntry& entry) { AddResidency(metrics_, entry.loaded, now_); });
   }
 
   const CacheConfig& config() const { return config_; }
   const CacheMetrics& metrics() const { return metrics_; }
   CacheMetrics& mutable_metrics() { return metrics_; }
-  const Writes& writes() const { return writes_; }
 
  private:
-  friend Writes;
-
   // One write-back: a disk write at this level, forwarded below.
   void WriteBack(SimTime time, const BlockKey& key) {
     metrics_.disk_writes += 1;
     below_.OnWriteBack(time, key);
-  }
-
-  void RecordResidency(SimTime now, const CacheEntry& entry) {
-    const double seconds = (now - entry.loaded).seconds();
-    metrics_.residency_seconds.Add(seconds);
-    metrics_.residency_samples += 1;
-    if (seconds > 20.0 * 60.0) {
-      metrics_.residency_over_20min += 1;
-    }
   }
 
   CacheConfig config_;
@@ -416,7 +370,7 @@ class CacheLevel : public ReplayFrontEnd<CacheLevel<Below, Writes>> {
   CacheMetrics metrics_;
   SimTime now_;
   Below below_;
-  Writes writes_;
+  SimTime next_flush_;  // end of the current flush-back epoch
   bool finished_ = false;
 };
 

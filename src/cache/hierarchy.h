@@ -6,12 +6,12 @@
 // Topology: each fleet instance (attributed per event via the v3/v4 fleet
 // tag in the trace header — ReplayLog::ReplayDataEventsWithInstancesInto)
 // owns a client CacheLevel; client miss fetches and write-backs become
-// block accesses on one shared server CacheLevel (the ServerLink
-// below-policy), and the server's own misses and write-backs are the disk
-// I/Os.  Unlink/truncate/create invalidations fan out to every client and
-// the server, discarding dirty blocks without traffic at any level — a
-// client's absorbed writes never reach the server, and the server's never
-// reach disk.
+// block accesses on one shared server level (the ServerLink below-policy),
+// and the server's own misses and write-backs are the disk I/Os.
+// Unlink/truncate/create invalidations fan out to every client and the
+// server, discarding dirty blocks without traffic at any level — a client's
+// absorbed writes never reach the server, and the server's never reach
+// disk.
 //
 // Semantics, level by level:
 //   * A client fetch is a READ access on the server (whatever is below must
@@ -26,19 +26,21 @@
 //     the epoch-boundary time.
 //   * client.size_bytes == 0 removes the client layer entirely: the shared
 //     replay front end (cache_level.h) drives the server level exactly as
-//     it drives a lone CacheLevel, making the degenerate hierarchy bit-
-//     identical to the single-level simulator with the server config, which
-//     HierarchyDegenerate.* and HierarchySweep.* check.
+//     it drives a lone cache, making the degenerate hierarchy bit-identical
+//     to the single-level simulator with the server config, which
+//     HierarchyDegenerate.* and HierarchySweep.* check against CacheLevel.
 //
 // One replay, many server sizes: clients get no feedback from the server,
 // so the stream a client layer sends down does not depend on the server
-// config.  A simulator may therefore carry several server levels behind one
-// client layer: ServerLink forwards every fetch and write-back to each
-// server in order, and clock advances, invalidations and Finish reach every
-// server the same way.  Each server receives exactly the ordered calls it
-// would receive alone, so Collect(k) is bit-identical to a one-server
-// replay of {client, servers[k]} — SimulateHierarchy, the per-row reference
-// twin RunHierarchySweep checks a fanned-out row against.
+// config.  A simulator may therefore carry several server configs behind one
+// client layer, and since they form one nested level (simulator.h's
+// FusedCacheSimulator: one LRU list serves every server size and write
+// policy) the stream is replayed once for all of them.  Each server config
+// sees exactly the ordered calls it would see alone, so Collect(k) is
+// bit-identical to a one-server replay of {client, servers[k]} on a plain
+// CacheLevel server — SimulateHierarchy, the per-row reference twin
+// (ReferenceHierarchySimulator) RunHierarchySweep checks a row of a nested
+// level against.
 //
 // Metadata simulation is not supported (client-local i-node state has no
 // defined server semantics here); both levels must share a block size.
@@ -51,6 +53,7 @@
 #include <vector>
 
 #include "src/cache/cache_level.h"
+#include "src/cache/simulator.h"
 #include "src/trace/reconstruct.h"
 #include "src/trace/replay_log.h"
 
@@ -94,49 +97,53 @@ struct HierarchyMetrics {
   }
 };
 
-// Drives one client layer and one or more server levels over an instance-
-// attributed replay.  The replay front end (cache_level.h) supplies the
-// trace semantics — extent feeds, which records invalidate, page-in —
-// exactly as it does for a single CacheLevel, so the no-client topology is
-// bit-identical to the single-level simulator; this class only routes the
-// front end's hooks.
-class HierarchySimulator final : public ReplayFrontEnd<HierarchySimulator> {
+// Drives one client layer over one server level.  The replay front end
+// (cache_level.h) supplies the trace semantics — extent feeds, which records
+// invalidate, page-in — exactly as it does for a single CacheLevel, so the
+// no-client topology is bit-identical to the single-level simulator; this
+// class only routes the front end's hooks.  `Server` is the server level's
+// engine: FusedCacheSimulator (HierarchySimulator, one nested level holding
+// any number of server configs) or CacheLevel<> (ReferenceHierarchySimulator,
+// exactly one server config — the per-row reference twin).
+template <typename Server>
+class BasicHierarchySimulator final : public ReplayFrontEnd<BasicHierarchySimulator<Server>> {
  public:
   // One row: `config`'s client layer over its one server.  `client_count`
   // clients (clamped up to 1 when the config has a client layer); pass
   // ReplayLog::instance_count() for fleet traces.
-  HierarchySimulator(const HierarchyConfig& config, size_t client_count);
-  // One client layer (none when client.size_bytes == 0) fanned out to every
-  // config in `servers` (nonempty; all agree on page-in, and with a client
-  // layer each matches client.block_size and client.simulate_execve_pagein).
-  HierarchySimulator(const CacheConfig& client, const std::vector<CacheConfig>& servers,
-                     size_t client_count);
-  // ServerLink points at servers_: the simulator cannot move.
-  HierarchySimulator(const HierarchySimulator&) = delete;
-  HierarchySimulator& operator=(const HierarchySimulator&) = delete;
+  BasicHierarchySimulator(const HierarchyConfig& config, size_t client_count);
+  // One client layer (none when client.size_bytes == 0) over one server
+  // level holding every config in `servers` (nonempty; one config for a
+  // CacheLevel server; for a nested one, one FusedCacheSimulator family:
+  // equal block size, page-in and replacement, LRU when sizes differ).  With
+  // a client layer each server matches client.block_size and
+  // client.simulate_execve_pagein.
+  BasicHierarchySimulator(const CacheConfig& client, const std::vector<CacheConfig>& servers,
+                          size_t client_count);
+  // ServerLink points at server_: the simulator cannot move.
+  BasicHierarchySimulator(const BasicHierarchySimulator&) = delete;
+  BasicHierarchySimulator& operator=(const BasicHierarchySimulator&) = delete;
 
   // Front-end hooks.  A transfer goes to the delivering instance's client
-  // (the server clocks advance first, so their flush epochs due before
-  // `now` fire before the new traffic the client forwards down).
+  // (the server clock advances first, so its flush epochs due before `now`
+  // fire before the new traffic the client forwards down).
   void AccessBlocks(SimTime now, FileId file, uint64_t offset, uint64_t length, bool is_write,
                     uint64_t extent) {
     if (clients_.empty()) {
-      for (ServerLevel& server : servers_) {
-        server.AccessBlocks(now, file, offset, length, is_write, extent);
-      }
+      server_.AccessBlocks(now, file, offset, length, is_write, extent);
       return;
     }
-    AdvanceServers(now);
-    ClientFor(instance()).AccessBlocks(now, file, offset, length, is_write, extent);
+    server_.AdvanceClock(now);
+    ClientFor(this->instance()).AccessBlocks(now, file, offset, length, is_write, extent);
   }
-  // Fans out to every client and every server.
+  // Fans out to every client and the server level.
   void Invalidate(SimTime now, FileId file, uint64_t first_byte);
-  // The owning client follows its own event stream; the servers follow the
+  // The owning client follows its own event stream; the server follows the
   // global stream.
   void AdvanceClock(SimTime now) {
-    AdvanceServers(now);
+    server_.AdvanceClock(now);
     if (!clients_.empty()) {
-      ClientFor(instance()).AdvanceClock(now);
+      ClientFor(this->instance()).AdvanceClock(now);
     }
   }
   void Finish();
@@ -146,24 +153,18 @@ class HierarchySimulator final : public ReplayFrontEnd<HierarchySimulator> {
   HierarchyMetrics Collect(size_t server = 0) const;
 
  private:
-  using ServerLevel = CacheLevel<DiskBelow>;
-
-  // The below-policy wiring a client level into the server levels.
+  // The below-policy wiring a client level into the server level.
   struct ServerLink {
-    std::deque<ServerLevel>* servers = nullptr;
+    Server* server = nullptr;
     void OnFetch(SimTime now, const BlockKey& key) {
       // The server must supply the block: a read access.  Reads always
       // fetch on a server miss, so the extent argument is irrelevant.
-      for (ServerLevel& server : *servers) {
-        server.AccessBlock(now, key, /*is_write=*/false, /*whole_block=*/false, 0);
-      }
+      server->AccessBlock(now, key, /*is_write=*/false, /*whole_block=*/false, 0);
     }
     void OnWriteBack(SimTime now, const BlockKey& key) {
       // The client holds the block's full current contents: a whole-block
       // write, which never fetches to complete.
-      for (ServerLevel& server : *servers) {
-        server.AccessBlock(now, key, /*is_write=*/true, /*whole_block=*/true, 0);
-      }
+      server->AccessBlock(now, key, /*is_write=*/true, /*whole_block=*/true, 0);
     }
   };
   using ClientLevel = CacheLevel<ServerLink>;
@@ -171,20 +172,24 @@ class HierarchySimulator final : public ReplayFrontEnd<HierarchySimulator> {
   ClientLevel& ClientFor(uint16_t instance) {
     return clients_[instance < clients_.size() ? instance : 0];
   }
-  void AdvanceServers(SimTime now) {
-    for (ServerLevel& server : servers_) {
-      server.AdvanceClock(now);
-    }
-  }
 
-  // deques: CacheLevel is immovable (BlockCache pins itself), and deque
+  Server server_;
+  // A deque: CacheLevel is immovable (BlockCache pins itself), and deque
   // never relocates constructed elements.
-  std::deque<ServerLevel> servers_;
   std::deque<ClientLevel> clients_;
 };
 
-// Replays `log` through one hierarchy row (clients = log.instance_count()
-// when the config has a client layer).
+// The sweep's engine: one nested server level serving every server config.
+using HierarchySimulator = BasicHierarchySimulator<FusedCacheSimulator>;
+// The reference twin: one plain CacheLevel server.
+using ReferenceHierarchySimulator = BasicHierarchySimulator<CacheLevel<>>;
+
+extern template class BasicHierarchySimulator<FusedCacheSimulator>;
+extern template class BasicHierarchySimulator<CacheLevel<>>;
+
+// Replays `log` through one hierarchy row on ReferenceHierarchySimulator
+// (clients = log.instance_count() when the config has a client layer): the
+// per-row twin the nested server level is checked against.
 HierarchyMetrics SimulateHierarchy(const ReplayLog& log, const HierarchyConfig& config);
 
 }  // namespace bsdtrace

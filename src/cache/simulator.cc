@@ -148,33 +148,150 @@ void CacheSimulator::OnRecord(const TraceRecord& r, RecordOwner) {
   }
 }
 
-FusedLaneWrites::FusedLaneWrites(const CacheConfig& base, const std::vector<Lane>& lanes)
-    : lanes_(lanes),
-      counters_(lanes.size()),
-      next_flush_(lanes.size()),
-      fb_pending_(lanes.size(), 0),
-      written_(base.block_count(), 0),
-      last_write_(base.block_count()) {
-  assert(!base.simulate_metadata);
-  assert(!lanes_.empty());
-  for (size_t i = 0; i < lanes_.size(); ++i) {
-    if (lanes_[i].policy == WritePolicy::kDelayedWrite) {
-      delayed_lanes_.push_back(i);
-    } else if (lanes_[i].policy == WritePolicy::kFlushBack) {
-      flush_lanes_.push_back(i);
-      next_flush_[i] = SimTime::Origin() + lanes_[i].flush_interval;
+namespace {
+
+std::vector<CacheConfig> LaneConfigs(const CacheConfig& base,
+                                     const std::vector<FusedCacheSimulator::PolicyLane>& lanes) {
+  std::vector<CacheConfig> members(lanes.size(), base);
+  for (size_t i = 0; i < lanes.size(); ++i) {
+    members[i].policy = lanes[i].policy;
+    members[i].flush_interval = lanes[i].flush_interval;
+  }
+  return members;
+}
+
+uint64_t LargestBlockCount(const std::vector<CacheConfig>& members) {
+  uint64_t blocks = 0;
+  for (const CacheConfig& c : members) {
+    blocks = std::max(blocks, c.block_count());
+  }
+  return blocks;
+}
+
+}  // namespace
+
+FusedCacheSimulator::FusedCacheSimulator(const std::vector<CacheConfig>& members)
+    : ReplayFrontEnd(members.front().simulate_execve_pagein),
+      block_size_(members.front().block_size),
+      cache_(LargestBlockCount(members), members.front().replacement) {
+  std::vector<uint64_t> blocks;
+  for (const CacheConfig& c : members) {
+    assert(!c.simulate_metadata && c.block_size == block_size_ &&
+           c.simulate_execve_pagein == members.front().simulate_execve_pagein &&
+           c.replacement == members.front().replacement);
+    blocks.push_back(c.block_count());
+  }
+  std::sort(blocks.begin(), blocks.end());
+  blocks.erase(std::unique(blocks.begin(), blocks.end()), blocks.end());
+  assert(blocks.size() == 1 || members.front().replacement == ReplacementPolicy::kLru);
+  sizes_.resize(blocks.size());
+  for (size_t j = 0; j < blocks.size(); ++j) {
+    sizes_[j].blocks = blocks[j];
+  }
+  for (const CacheConfig& c : members) {
+    const size_t size = static_cast<size_t>(
+        std::lower_bound(blocks.begin(), blocks.end(), c.block_count()) - blocks.begin());
+    // Write-through and delayed-write ignore the flush interval.
+    const Duration interval =
+        c.policy == WritePolicy::kFlushBack ? c.flush_interval : Duration::Seconds(30);
+    size_t lane = 0;
+    while (lane < lanes_.size() &&
+           !(lanes_[lane].policy == c.policy && lanes_[lane].flush_interval == interval)) {
+      ++lane;
+    }
+    if (lane == lanes_.size()) {
+      lanes_.push_back({c.policy, interval});
+    }
+    members_.push_back({size, lane});
+  }
+  epoch_start_.resize(lanes_.size());
+  next_flush_.resize(lanes_.size());
+  for (size_t lane = 0; lane < lanes_.size(); ++lane) {
+    if (lanes_[lane].policy == WritePolicy::kDelayedWrite) {
+      delayed_lanes_.push_back(lane);
+    } else if (lanes_[lane].policy == WritePolicy::kFlushBack) {
+      flush_lanes_.push_back(lane);
+      next_flush_[lane] = SimTime::Origin() + lanes_[lane].flush_interval;
+    }
+  }
+  k_ = sizes_.size();
+  counters_.resize(k_ * lanes_.size());
+  const size_t slots = static_cast<size_t>(blocks.back());
+  slots_.resize(slots);
+  entered_.resize(slots * k_);
+}
+
+FusedCacheSimulator::FusedCacheSimulator(const CacheConfig& base,
+                                         const std::vector<PolicyLane>& lanes)
+    : FusedCacheSimulator(LaneConfigs(base, lanes)) {}
+
+void FusedCacheSimulator::Invalidate(SimTime now, FileId file, uint64_t first_byte) {
+  AdvanceClock(now);
+  const uint64_t first_block = (first_byte + block_size_ - 1) / block_size_;  // whole blocks
+  dropped_.clear();
+  cache_.RemoveFileBlocks(file, first_block, [this](const CacheEntry& entry) {
+    // Called before the block leaves the list, so a tail it ends steps to
+    // its newer neighbour — a later drop of that neighbour steps it again.
+    const int32_t slot = cache_.SlotOf(&entry);
+    for (size_t j = slots_[static_cast<size_t>(slot)].region; j < k_; ++j) {
+      if (j + 1 < k_) {
+        Size& size = sizes_[j];
+        if (size.tail == slot) {
+          size.tail = cache_.NewerSlot(slot);
+        }
+        size.fill -= 1;
+      }
+      Leave(j, slot, /*evicted=*/false);
+    }
+    dropped_.push_back(slot);
+  });
+  // The freed slots keep their records until the next insert.  Each size
+  // adds its residency samples newest entry first, as its own file chain
+  // would hold them.
+  for (size_t j = 0; j < k_ && !dropped_.empty(); ++j) {
+    drop_order_.clear();
+    for (const int32_t slot : dropped_) {
+      const size_t s = static_cast<size_t>(slot);
+      if (slots_[s].region <= j) {
+        const Entered& entered = entered_[s * k_ + j];
+        drop_order_.push_back({entered.seq, entered.time});
+      }
+    }
+    std::sort(drop_order_.begin(), drop_order_.end(),
+              [](const auto& a, const auto& b) { return a.first > b.first; });
+    for (const auto& [seq, entered] : drop_order_) {
+      AddResidency(sizes_[j].metrics, entered, now);
     }
   }
 }
 
-CacheMetrics FusedLaneWrites::LaneMetrics(const CacheMetrics& shared, size_t i) const {
-  CacheMetrics m = shared;
-  if (lanes_[i].policy == WritePolicy::kWriteThrough) {
-    m.disk_writes = shared.write_accesses;  // one write-through per write access
-    m.dirty_discarded = 0;
+void FusedCacheSimulator::Finish() {
+  if (finished_) {
+    return;
+  }
+  finished_ = true;
+  // Most to least recently used: each size's own LRU order.
+  cache_.ForEach([this](CacheEntry& entry) {
+    const size_t s = static_cast<size_t>(cache_.SlotOf(&entry));
+    for (size_t j = slots_[s].region; j < k_; ++j) {
+      AddResidency(sizes_[j].metrics, entered_[s * k_ + j].time, now_);
+    }
+  });
+}
+
+CacheMetrics FusedCacheSimulator::Metrics(size_t i) const {
+  assert(i < members_.size());
+  const auto [size, lane] = members_[i];
+  CacheMetrics m = sizes_[size].metrics;
+  m.logical_accesses = shared_.logical_accesses;
+  m.read_accesses = shared_.read_accesses;
+  m.write_accesses = shared_.write_accesses;
+  if (lanes_[lane].policy == WritePolicy::kWriteThrough) {
+    m.disk_writes = shared_.write_accesses;  // one write-through per write access
   } else {
-    m.disk_writes = counters_[i].disk_writes;
-    m.dirty_discarded = counters_[i].dirty_discarded;
+    const LaneCounters& c = counters_[size * lanes_.size() + lane];
+    m.disk_writes = c.disk_writes;
+    m.dirty_discarded = c.dirty_discarded;
   }
   return m;
 }

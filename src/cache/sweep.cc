@@ -150,43 +150,32 @@ std::vector<uint64_t> SweepCurveSizes() {
 
 namespace {
 
-// Single-level rows identical up to write policy share one cache state, so
-// each such group replays once through a multi-lane FusedCacheSimulator.
-// `rows[i]` is row i's single-level config, or nullptr when the row cannot
-// be fused.  Groups come out in cache-state order.
-std::vector<std::vector<size_t>> FusedGroups(const std::vector<const CacheConfig*>& rows) {
-  std::map<std::tuple<uint64_t, uint32_t, int, bool>, std::vector<size_t>> by_cache;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (const CacheConfig* c = rows[i]) {
-      by_cache[{c->size_bytes, c->block_size, static_cast<int>(c->replacement),
-                c->simulate_execve_pagein}]
-          .push_back(i);
-    }
-  }
-  std::vector<std::vector<size_t>> groups;
-  groups.reserve(by_cache.size());
-  for (auto& [key, members] : by_cache) {
-    groups.push_back(std::move(members));
-  }
-  return groups;
+// The nested family of a single-level config: configs with equal keys
+// replay once, through one FusedCacheSimulator.  LRU configs of every size
+// and write policy share a family (inclusion); under another replacement
+// policy only equal sizes do.
+using FamilyKey = std::tuple<uint32_t, bool, int, uint64_t>;
+FamilyKey NestedFamily(const CacheConfig& c) {
+  const bool lru = c.replacement == ReplacementPolicy::kLru;
+  return {c.block_size, c.simulate_execve_pagein, static_cast<int>(c.replacement),
+          lru ? 0 : c.size_bytes};
 }
 
-// Replays one fused group: one lane per member, lane j's metrics to
-// members[j].
-std::vector<CacheMetrics> ReplayFused(const ReplayLog& log,
-                                      const std::vector<const CacheConfig*>& rows,
-                                      const std::vector<size_t>& members) {
-  std::vector<FusedCacheSimulator::PolicyLane> lanes;
-  lanes.reserve(members.size());
+// Replays one nested family: member j's metrics to members[j].
+std::vector<CacheMetrics> ReplayNested(const ReplayLog& log,
+                                       const std::vector<CacheConfig>& configs,
+                                       const std::vector<size_t>& members) {
+  std::vector<CacheConfig> family;
+  family.reserve(members.size());
   for (const size_t i : members) {
-    lanes.push_back({rows[i]->policy, rows[i]->flush_interval});
+    family.push_back(configs[i]);
   }
-  FusedCacheSimulator sim(*rows[members.front()], lanes);
+  FusedCacheSimulator sim(family);
   sim.Replay(log);
   std::vector<CacheMetrics> out;
   out.reserve(members.size());
   for (size_t j = 0; j < members.size(); ++j) {
-    out.push_back(sim.LaneMetrics(j));
+    out.push_back(sim.Metrics(j));
   }
   return out;
 }
@@ -211,50 +200,45 @@ PlannedSweep RunPlannedSweep(const ReplayLog& log, const std::vector<CacheConfig
     curve_sizes = SweepCurveSizes();
   }
 
-  // Partition by shared cache state: configs that differ only in write
-  // policy replay once, fused.  Metadata configs fall back (the fused cache
-  // cannot share i-node dirtiness across policies).
-  std::vector<const CacheConfig*> single_level(configs.size(), nullptr);
+  // Every non-metadata config replays in its nested family (NestedFamily):
+  // one replay per (block size, page-in) LRU family serves every size and
+  // write policy in it, and each LRU family also gets one Mattson pass.
+  // Metadata configs fall back to per-config replays.
+  struct Family {
+    uint32_t block_size = 4096;
+    bool pagein = false;
+    std::vector<size_t> members;
+  };
+  std::map<FamilyKey, std::vector<size_t>> by_nested;
   std::vector<size_t> fallbacks;
   for (size_t i = 0; i < configs.size(); ++i) {
     if (configs[i].simulate_metadata) {
       fallbacks.push_back(i);
     } else {
-      single_level[i] = &configs[i];
+      by_nested[NestedFamily(configs[i])].push_back(i);
     }
   }
-  const std::vector<std::vector<size_t>> fused_groups = FusedGroups(single_level);
-
-  // One Mattson pass per (block size, page-in) family of LRU configs: the
-  // whole size axis of that family from a single pass.
-  struct MattsonGroup {
-    uint32_t block_size = 4096;
-    bool pagein = false;
-    std::vector<size_t> members;
-  };
-  std::map<std::pair<uint32_t, bool>, std::vector<size_t>> by_family;
-  for (size_t i = 0; i < configs.size(); ++i) {
-    const CacheConfig& c = configs[i];
-    if (c.replacement == ReplacementPolicy::kLru && !c.simulate_metadata) {
-      by_family[{c.block_size, c.simulate_execve_pagein}].push_back(i);
+  std::vector<std::vector<size_t>> nested;
+  std::vector<Family> families;  // the LRU ones, one Mattson pass each
+  for (auto& [key, members] : by_nested) {
+    const CacheConfig& c = configs[members.front()];
+    if (c.replacement == ReplacementPolicy::kLru) {
+      families.push_back({c.block_size, c.simulate_execve_pagein, members});
     }
+    nested.push_back(std::move(members));
   }
-  std::vector<MattsonGroup> mattson_groups;
-  for (auto& [key, members] : by_family) {
-    mattson_groups.push_back({key.first, key.second, std::move(members)});
-  }
-  result.curves.resize(mattson_groups.size());
-  result.stack_passes = mattson_groups.size();
-  result.fused_replays = fused_groups.size();
+  result.curves.resize(families.size());
+  result.stack_passes = families.size();
+  result.fused_replays = nested.size();
   result.replay_fallbacks = fallbacks.size();
 
   std::vector<std::function<void()>> work;
-  work.reserve(mattson_groups.size() + fused_groups.size() + fallbacks.size());
+  work.reserve(families.size() + nested.size() + fallbacks.size());
   // Mattson passes first: they are the largest indivisible items, so an
   // early start minimizes the parallel makespan.
-  for (size_t g = 0; g < mattson_groups.size(); ++g) {
+  for (size_t g = 0; g < families.size(); ++g) {
     work.push_back([&, g]() {
-      const MattsonGroup& group = mattson_groups[g];
+      const Family& group = families[g];
       SweepCurve& curve = result.curves[g];
       curve.block_size = group.block_size;
       curve.simulate_execve_pagein = group.pagein;
@@ -281,12 +265,12 @@ PlannedSweep RunPlannedSweep(const ReplayLog& log, const std::vector<CacheConfig
       }
     });
   }
-  for (size_t g = 0; g < fused_groups.size(); ++g) {
+  for (size_t g = 0; g < nested.size(); ++g) {
     work.push_back([&, g]() {
-      const std::vector<size_t>& members = fused_groups[g];
-      const std::vector<CacheMetrics> lanes = ReplayFused(log, single_level, members);
+      const std::vector<size_t>& members = nested[g];
+      const std::vector<CacheMetrics> metrics = ReplayNested(log, configs, members);
       for (size_t j = 0; j < members.size(); ++j) {
-        result.points[members[j]].metrics = lanes[j];
+        result.points[members[j]].metrics = metrics[j];
       }
     });
   }
@@ -296,12 +280,13 @@ PlannedSweep RunPlannedSweep(const ReplayLog& log, const std::vector<CacheConfig
   RunWorkItems(work, threads);
 
   // Engine cross-check: the single-pass curve must reproduce every replayed
-  // fetch-miss cell bit-for-bit.
-  for (size_t g = 0; g < mattson_groups.size(); ++g) {
-    const SweepCurve& curve = result.curves[g];
-    for (const size_t i : mattson_groups[g].members) {
-      if (curve.profile.FetchMissesAt(configs[i].block_count()) !=
-          result.points[i].metrics.disk_reads) {
+  // access count and fetch-miss cell bit-for-bit.
+  for (size_t g = 0; g < families.size(); ++g) {
+    const StackDistanceProfile& profile = result.curves[g].profile;
+    for (const size_t i : families[g].members) {
+      const CacheMetrics& m = result.points[i].metrics;
+      if (profile.total_accesses() != m.logical_accesses ||
+          profile.FetchMissesAt(configs[i].block_count()) != m.disk_reads) {
         result.parity = false;
       }
     }
@@ -381,23 +366,26 @@ HierarchySweepResult RunHierarchySweep(const ReplayLog& log,
     return result;
   }
 
-  // Client-0 rows are single-level server replays: fuse rows sharing server
-  // cache state into multi-lane simulators, exactly like RunPlannedSweep.
-  // Client-bearing rows sharing one client config share one client replay:
-  // clients get no feedback from the server, so every server of the group
-  // sees the same stream, and one HierarchySimulator fans it out.
-  std::vector<const CacheConfig*> single_level(configs.size(), nullptr);
-  std::map<std::tuple<uint64_t, uint32_t, int, int64_t, int, bool>, std::vector<size_t>>
+  // Client-0 rows are single-level server replays: each nested family of
+  // server configs replays once, exactly like RunPlannedSweep.  Client-
+  // bearing rows sharing one client config and one server family share one
+  // client replay: clients get no feedback from the server, so every server
+  // config of the group sees the same stream, served by one nested level.
+  std::vector<CacheConfig> servers(configs.size());
+  std::map<FamilyKey, std::vector<size_t>> by_server;
+  std::map<std::tuple<uint64_t, uint32_t, int, int64_t, int, bool, FamilyKey>,
+           std::vector<size_t>>
       by_client;
   for (size_t i = 0; i < configs.size(); ++i) {
     const CacheConfig& c = configs[i].client;
+    servers[i] = configs[i].server;
     if (configs[i].has_clients()) {
       by_client[{c.size_bytes, c.block_size, static_cast<int>(c.policy),
                  c.flush_interval.micros(), static_cast<int>(c.replacement),
-                 c.simulate_execve_pagein}]
+                 c.simulate_execve_pagein, NestedFamily(configs[i].server)}]
           .push_back(i);
     } else {
-      single_level[i] = &configs[i].server;
+      by_server[NestedFamily(configs[i].server)].push_back(i);
     }
   }
   std::vector<std::vector<size_t>> client_groups;
@@ -405,32 +393,54 @@ HierarchySweepResult RunHierarchySweep(const ReplayLog& log,
   for (auto& [key, members] : by_client) {
     client_groups.push_back(std::move(members));
   }
-  const std::vector<std::vector<size_t>> fused_groups = FusedGroups(single_level);
-  result.fused_replays = fused_groups.size();
+  std::vector<std::vector<size_t>> server_groups;
+  server_groups.reserve(by_server.size());
+  for (auto& [key, members] : by_server) {
+    server_groups.push_back(std::move(members));
+  }
+  result.fused_replays = server_groups.size();
   result.hierarchy_replays = client_groups.size();
 
-  // One degenerate-hierarchy parity replay per fused group, compared against
-  // the group's first lane after the join.
-  std::vector<uint8_t> group_parity(fused_groups.size(), 1);
-  std::vector<CacheMetrics> parity_metrics(fused_groups.size());
-  // One per-row replay of a fanned-out row: the last server of the first
-  // client group, so a fan-out that skips later servers cannot pass.
-  const size_t fanned_row = client_groups.empty() ? 0 : client_groups.front().back();
-  HierarchyMetrics fanned_check;
+  // Cross-engine gates, compared after the join.  One reference CacheLevel
+  // replay (SimulateCache) per client-0 server size: the first row of each
+  // (family, size).  And one reference replay (SimulateHierarchy, a plain
+  // CacheLevel server) of a row served by a nested level: the smallest
+  // server of the first client group, the size whose evictions the nested
+  // level derives rather than leaving to its list.
+  std::vector<size_t> reference_rows;
+  for (const std::vector<size_t>& members : server_groups) {
+    std::vector<uint64_t> seen;
+    for (const size_t i : members) {
+      if (std::find(seen.begin(), seen.end(), servers[i].size_bytes) == seen.end()) {
+        seen.push_back(servers[i].size_bytes);
+        reference_rows.push_back(i);
+      }
+    }
+  }
+  std::vector<CacheMetrics> references(reference_rows.size());
+  const size_t checked_row =
+      client_groups.empty()
+          ? 0
+          : *std::min_element(client_groups.front().begin(), client_groups.front().end(),
+                              [&servers](size_t a, size_t b) {
+                                return servers[a].size_bytes < servers[b].size_bytes;
+                              });
+  HierarchyMetrics row_check;
 
   std::vector<std::function<void()>> work;
-  work.reserve(client_groups.size() + 2 * fused_groups.size() + 1);
-  // Hierarchy replays first: each drives a client layer and every server of
-  // its group, the largest indivisible items.
+  work.reserve(client_groups.size() + server_groups.size() + reference_rows.size() + 1);
+  // Hierarchy replays first: each drives a client layer and the server
+  // level of its group, the largest indivisible items.
   for (size_t g = 0; g < client_groups.size(); ++g) {
     work.push_back([&, g]() {
       const std::vector<size_t>& members = client_groups[g];
-      std::vector<CacheConfig> servers;
-      servers.reserve(members.size());
+      std::vector<CacheConfig> group_servers;
+      group_servers.reserve(members.size());
       for (const size_t i : members) {
-        servers.push_back(configs[i].server);
+        group_servers.push_back(servers[i]);
       }
-      HierarchySimulator sim(configs[members.front()].client, servers, log.instance_count());
+      HierarchySimulator sim(configs[members.front()].client, group_servers,
+                             log.instance_count());
       sim.Replay(log);
       for (size_t k = 0; k < members.size(); ++k) {
         result.points[members[k]].metrics = sim.Collect(k);
@@ -438,39 +448,32 @@ HierarchySweepResult RunHierarchySweep(const ReplayLog& log,
     });
   }
   if (!client_groups.empty()) {
-    work.push_back([&]() { fanned_check = SimulateHierarchy(log, configs[fanned_row]); });
+    work.push_back([&]() { row_check = SimulateHierarchy(log, configs[checked_row]); });
   }
-  for (size_t g = 0; g < fused_groups.size(); ++g) {
+  for (size_t g = 0; g < server_groups.size(); ++g) {
     work.push_back([&, g]() {
-      const std::vector<size_t>& members = fused_groups[g];
-      const std::vector<CacheMetrics> lanes = ReplayFused(log, single_level, members);
+      const std::vector<size_t>& members = server_groups[g];
+      const std::vector<CacheMetrics> metrics = ReplayNested(log, servers, members);
       for (size_t j = 0; j < members.size(); ++j) {
         HierarchyMetrics& m = result.points[members[j]].metrics;
         m.client_count = 0;
-        m.server = lanes[j];
+        m.server = metrics[j];
       }
     });
-    work.push_back([&, g]() {
-      // Cross-engine gate: the degenerate hierarchy must reproduce the
-      // fused lane bit-for-bit.  Runs as its own work item so it overlaps
-      // the fused replay; the comparison happens after the join.
-      const size_t i = fused_groups[g].front();
-      const HierarchyMetrics check = SimulateHierarchy(log, configs[i]);
-      group_parity[g] = static_cast<uint8_t>(check.client_count == 0 ? 1 : 0);
-      parity_metrics[g] = check.server;
-    });
+  }
+  for (size_t r = 0; r < reference_rows.size(); ++r) {
+    work.push_back([&, r]() { references[r] = SimulateCache(log, servers[reference_rows[r]]); });
   }
   RunWorkItems(work, threads);
 
-  for (size_t g = 0; g < fused_groups.size(); ++g) {
-    const size_t i = fused_groups[g].front();
-    if (group_parity[g] == 0 ||
-        !CacheMetricsBitIdentical(parity_metrics[g], result.points[i].metrics.server)) {
+  for (size_t r = 0; r < reference_rows.size(); ++r) {
+    if (!CacheMetricsBitIdentical(references[r],
+                                  result.points[reference_rows[r]].metrics.server)) {
       result.parity = false;
     }
   }
   if (!client_groups.empty() &&
-      !HierarchyMetricsBitIdentical(fanned_check, result.points[fanned_row].metrics)) {
+      !HierarchyMetricsBitIdentical(row_check, result.points[checked_row].metrics)) {
     result.parity = false;
   }
   return result;

@@ -49,26 +49,31 @@ std::vector<CacheConfig> Fig6Configs();
 // Fig. 7: cache size sweep with and without execve page-in.
 std::vector<CacheConfig> Fig7Configs();
 
-// --- Planned sweeps: Mattson curves + fused replays ------------------------
+// --- Planned sweeps: Mattson curves + nested replays -----------------------
 //
 // RunPlannedSweep computes the same per-config metrics as RunCacheSweep but
-// restructures the work (ISSUE: collapse the Fig. 5-7 size axis):
+// restructures the work so the Fig. 5-7 size axis costs nothing extra.
+// LRU non-metadata configs group into (block size, page-in) families, and
+// each family costs two passes:
 //
-//   * configs identical up to write policy share ONE replay through a
-//     FusedCacheSimulator (Fig. 5's four policy columns per cache size);
-//   * each (block size, page-in) family of LRU configs additionally gets one
-//     exact stack-distance pass (stack_distance.h), yielding the fetch-miss/
-//     miss-ratio column for EVERY cache size — the dense curve axis — from a
-//     single pass instead of one replay per size.  The pass is depth-bounded
-//     at the family's largest curve or member size K (in blocks), so its
-//     tree keeps O(K) slots;
-//   * configs the fast paths cannot serve (metadata simulation) fall back to
-//     per-config replays.
+//   * one nested replay through a FusedCacheSimulator, which serves every
+//     size and write policy of the family at once (LRU inclusion) and
+//     yields each member's full metrics — Fig. 5's 24 points are one replay;
+//   * one exact stack-distance pass (stack_distance.h), yielding the fetch-
+//     miss/miss-ratio column for EVERY cache size — the dense curve axis.
+//     The pass is depth-bounded at the family's largest curve or member size
+//     K (in blocks), so its tree keeps O(K) slots.
+//
+// A non-LRU config has no inclusion property and no Mattson curve: its
+// nested replay serves only the write policies of its own size (one replay
+// per (block size, page-in, replacement, size)).  Metadata configs fall back
+// to per-config replays.
 //
 // `points` is bit-identical to RunCacheSweep(log, configs) in input order.
-// `parity` cross-checks the two engines where they overlap: for every LRU
-// non-metadata config, the Mattson curve's FetchMissesAt(block_count) must
-// equal the replayed disk_reads exactly; tests and the report check it.
+// `parity` cross-checks the two engines where they overlap: for every family
+// member, the replayed logical_accesses must equal the profile's
+// total_accesses() and the replayed disk_reads its FetchMissesAt(block_count)
+// exactly; tests and the report check it.
 
 // The dense cache-size axis sampled by every Mattson curve (25 sizes in
 // quarter-octave steps from 256 KB to 16 MB, a superset of the paper's
@@ -95,12 +100,13 @@ struct SweepCurve {
 struct PlannedSweep {
   std::vector<SweepPoint> points;  // one per input config, input order
   std::vector<SweepCurve> curves;  // one per (block size, page-in) LRU family
-  // True iff every Mattson fetch-miss prediction matched the replayed
-  // disk_reads bit-for-bit (see above).
+  // True iff every family member's replayed access count and fetch misses
+  // matched its Mattson profile bit-for-bit (see above).
   bool parity = true;
-  size_t stack_passes = 0;
-  size_t fused_replays = 0;
-  size_t replay_fallbacks = 0;
+  size_t stack_passes = 0;      // one per LRU family
+  size_t fused_replays = 0;     // nested replays: one per LRU family, one
+                                // per non-LRU (family, size)
+  size_t replay_fallbacks = 0;  // per-config (metadata) replays
 };
 
 // Plans and runs the sweep on a prebuilt log, in parallel across `threads`
@@ -113,16 +119,18 @@ PlannedSweep RunPlannedSweep(const ReplayLog& log, const std::vector<CacheConfig
 // RunHierarchySweep extends the planner to two-level topologies
 // (hierarchy.h).  Clients get no feedback from the server, so rows sharing
 // one client config (size, block size, policy, flush interval, replacement,
-// page-in) share one client replay: one HierarchySimulator drives the
-// client layer and fans its server stream out to every server size of the
-// group.  Rows with client size 0 collapse to single-level server replays,
-// which the planner serves through fused multi-lane simulators exactly as
-// RunPlannedSweep does — the degenerate topology IS the single-level
-// simulator.  The `parity` flag `trace_stream report` gates on covers both:
-// each fused group's first row is replayed through the degenerate
-// HierarchySimulator and compared bit-for-bit against its fused lane, and
-// one fanned-out row is replayed alone through SimulateHierarchy and
-// compared bit-for-bit on every level.
+// page-in) and one server family share one client replay: one
+// HierarchySimulator drives the client layer over one nested server level
+// holding every server config of the group.  Rows with client size 0
+// collapse to single-level server replays, one nested replay per server
+// family — the degenerate topology IS the single-level simulator.  The
+// `parity` flag `trace_stream report` gates on covers both, across engines:
+// the first client-0 row of each server size is replayed through a plain
+// CacheLevel (SimulateCache) and compared bit-for-bit with its nested
+// member, and one row served by a nested server level (the smallest server
+// of the first client group) is replayed alone through SimulateHierarchy —
+// whose server is a plain CacheLevel — and compared bit-for-bit on every
+// level.
 
 struct HierarchyPoint {
   HierarchyConfig config;
@@ -131,12 +139,15 @@ struct HierarchyPoint {
 
 struct HierarchySweepResult {
   std::vector<HierarchyPoint> points;  // one per input config, input order
-  // Every checked client-0 fused lane matched its degenerate hierarchy
-  // replay, and the checked fanned-out row its per-row replay, bit-for-bit.
+  // Every checked client-0 server size matched its CacheLevel replay, and
+  // the checked hierarchy row its per-row replay, bit-for-bit.
   bool parity = true;
-  size_t fused_replays = 0;  // fused single-level replays (client-0 rows)
-  // Two-level replays: one per distinct client config, each fanned out to
-  // every server size of its rows (9 on the default grid, for 45 rows).
+  // Nested single-level replays of the client-0 rows: one per server
+  // family (1 on the default grid, for 15 rows).
+  size_t fused_replays = 0;
+  // Two-level replays: one per distinct client config and server family,
+  // each over one nested level serving every server size of its rows (9 on
+  // the default grid, for 45 rows).
   size_t hierarchy_replays = 0;
 };
 

@@ -59,9 +59,9 @@ std::string RenderFigure4(const std::vector<NamedAnalysis>& traces);
 // All three §6 sweeps (Figs. 5-7) computed from ONE reconstruction of the
 // trace: the replay log is built once and shared by every configuration and
 // every figure, and each figure runs through the sweep planner
-// (RunPlannedSweep) — fused write-policy replays plus one exact Mattson
-// stack-distance pass per (block size, page-in) family, which yields the
-// dense miss-ratio curves below as a by-product (see DESIGN.md §12).
+// (RunPlannedSweep) — one nested replay (every size and write policy) plus
+// one exact Mattson stack-distance pass per (block size, page-in) family,
+// which yields the dense miss-ratio curves below (see DESIGN.md §12).
 struct StandardSweeps {
   std::vector<SweepPoint> fig5;  // Fig. 5 / Table VI points
   std::vector<SweepPoint> fig6;  // Fig. 6 / Table VII points

@@ -154,7 +154,7 @@ const std::vector<FlagSpec>& FlagTable() {
        }},
       {"sweep", true, "fig5|fig6|fig7|hier",
        "run a planned cache sweep instead of the §5 tables: the §6 figures "
-       "(fused replays + one-pass Mattson curves) or the §7 client/server "
+       "(nested replays + one-pass Mattson curves) or the §7 client/server "
        "hierarchy grid",
        [](CliOptions* o, const std::string& v) {
          o->sweep = v;
@@ -542,9 +542,9 @@ int CmdAnalyze(int argc, const char* const* argv) {
     }
     if (opt.sweep == "hier") {
       // §7: client size x server size x client write policy, one client
-      // replay per client configuration fanned out to every server size,
-      // client-0 rows served by fused single-level replays; both engines
-      // are cross-checked against per-row replays (the parity gate).
+      // replay per client configuration over one nested server level,
+      // client-0 rows served by one nested single-level replay; both are
+      // cross-checked against reference replays (the parity gate).
       const HierarchySweepResult result = RunHierarchySweep(
           log.value(), HierarchySweepConfigs(), static_cast<unsigned>(opt.threads));
       std::fputs(RenderHierarchySweep(result).c_str(), stdout);

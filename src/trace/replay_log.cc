@@ -1,6 +1,7 @@
 #include "src/trace/replay_log.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 #include "src/trace/trace_source.h"
@@ -101,6 +102,55 @@ class RecordingSink : public ReconstructionSink {
 
 }  // namespace
 
+struct ReplayLog::Builder::State {
+  State(const TraceHeader& header, BillingPolicy billing)
+      : fleet(ParseFleetTag(header.description)),
+        attributor(fleet),
+        sink(&events, &attributor),
+        reconstructor(&sink, billing),
+        billing(billing) {}
+
+  std::vector<FleetInstanceTag> fleet;
+  InstanceAttributor attributor;
+  std::vector<ReplayEvent> events;
+  RecordingSink sink;
+  AccessReconstructor reconstructor;
+  BillingPolicy billing;
+};
+
+ReplayLog::Builder::Builder(const TraceHeader& header, BillingPolicy billing, int64_t size_hint)
+    : state_(std::make_unique<State>(header, billing)) {
+  if (size_hint > 0) {
+    // Callers pass a hint their source clamped to what its backing store
+    // could plausibly hold, so a lying header cannot drive an unbounded
+    // reserve.
+    state_->events.reserve(static_cast<size_t>(size_hint) * 2);
+  }
+}
+
+ReplayLog::Builder::~Builder() = default;
+
+void ReplayLog::Builder::Append(const TraceRecord& record) {
+  state_->reconstructor.Process(record);
+  ++records_;
+}
+
+ReplayLog ReplayLog::Builder::Finish() {
+  assert(state_ != nullptr);
+  state_->reconstructor.Finish();
+  ReplayLog log;
+  log.billing_ = state_->billing;
+  log.fleet_ = std::move(state_->fleet);
+  log.events_ = std::move(state_->events);
+  log.events_.shrink_to_fit();
+  log.transfer_count_ = state_->sink.transfer_count;
+  log.dangling_opens_ = state_->reconstructor.dangling_opens();
+  log.orphan_events_ = state_->reconstructor.orphan_events();
+  state_.reset();
+  log.BuildDerivedStreams();
+  return log;
+}
+
 ReplayLog ReplayLog::Build(const Trace& trace, BillingPolicy billing) {
   // An in-memory source never fails, and carries the header (fleet tag).
   TraceVectorSource source(trace);
@@ -111,34 +161,18 @@ StatusOr<ReplayLog> ReplayLog::Build(TraceSource& source, BillingPolicy billing)
   if (!source.status().ok()) {
     return source.status();
   }
-  ReplayLog log;
-  log.billing_ = billing;
-  log.fleet_ = ParseFleetTag(source.header().description);
-  const InstanceAttributor attributor(log.fleet_);
-  if (source.size_hint() > 0) {
-    // The hint is clamped by the source to what its backing store could
-    // plausibly hold, so a lying header cannot drive an unbounded reserve.
-    log.events_.reserve(static_cast<size_t>(source.size_hint()) * 2);
-  }
-  RecordingSink sink(&log.events_, &attributor);
-  AccessReconstructor reconstructor(&sink, billing);
   // Records stream from the source straight into the reconstructor — the
   // full Trace is never materialized, so building a log from an on-disk
   // trace peaks at the size of the log, not trace + log.
+  Builder builder(source.header(), billing, source.size_hint());
   TraceRecord r;
   while (source.Next(&r)) {
-    reconstructor.Process(r);
+    builder.Append(r);
   }
   if (!source.status().ok()) {
     return source.status();
   }
-  reconstructor.Finish();
-  log.events_.shrink_to_fit();
-  log.transfer_count_ = sink.transfer_count;
-  log.dangling_opens_ = reconstructor.dangling_opens();
-  log.orphan_events_ = reconstructor.orphan_events();
-  log.BuildDerivedStreams();
-  return log;
+  return builder.Finish();
 }
 
 StatusOr<ReplayLog> ReplayLog::BuildFromFile(const std::string& path, BillingPolicy billing) {

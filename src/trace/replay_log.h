@@ -28,6 +28,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -88,6 +89,32 @@ class ReplayLog {
   // Convenience: Build over a file-backed source (block-buffered reader).
   static StatusOr<ReplayLog> BuildFromFile(const std::string& path,
                                            BillingPolicy billing = BillingPolicy::kAtNextEvent);
+
+  // The one log builder: a TraceSink that runs each appended record through
+  // the reconstructor, so a producer (a fleet generator, a TraceSource
+  // loop) pushes a trace straight into its log without materializing it.
+  // The header is the trace's (its fleet tag attributes events to
+  // instances).  Append records, then Finish() once.
+  class Builder final : public TraceSink {
+   public:
+    explicit Builder(const TraceHeader& header,
+                     BillingPolicy billing = BillingPolicy::kAtNextEvent,
+                     int64_t size_hint = -1);
+    ~Builder() override;
+    Builder(const Builder&) = delete;
+    Builder& operator=(const Builder&) = delete;
+
+    void Append(const TraceRecord& record) override;
+    // Records appended so far.
+    size_t records() const { return records_; }
+    // Ends the trace and returns the log; the builder is spent.
+    ReplayLog Finish();
+
+   private:
+    struct State;
+    std::unique_ptr<State> state_;
+    size_t records_ = 0;
+  };
 
   ReplayLog() = default;
 

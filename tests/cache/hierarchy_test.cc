@@ -150,6 +150,51 @@ TEST(HierarchyInvalidation, UnlinkFansOutToAllClients) {
   EXPECT_EQ(m.clients[0].dirty_discarded, 0u);
 }
 
+// A client flush reaches the server stamped at the client's epoch boundary,
+// which lies behind the server clock when the client was idle: instance 0
+// dirties a block at 2 s, sleeps through its 30 s flush while instance 1
+// moves the server past its 40 s epoch, and flushes at 55 s.  The server
+// holds the block dirty in its current epoch, so the unlink at 57 s
+// discards it and no flush writes it — on the nested level as on the
+// reference CacheLevel.
+TEST(HierarchyServer, LateFlushWriteBackLandsInTheServersCurrentEpoch) {
+  const std::vector<FleetInstanceTag> tags = {{"A5", 0, 2}, {"A5", 4, 2}};
+  TraceBuilder b;
+  const UserId user_a = 2;  // instance 0
+  const UserId user_b = 6;  // instance 1
+  b.WholeWrite(1.0, 2.0, /*oid=*/1, /*file=*/10, /*size=*/4096, user_a);
+  b.WholeRead(35.0, 36.0, /*oid=*/2, /*file=*/11, /*size=*/4096, user_b);
+  b.WholeRead(50.0, 51.0, /*oid=*/3, /*file=*/11, /*size=*/4096, user_b);
+  b.WholeRead(55.0, 56.0, /*oid=*/4, /*file=*/12, /*size=*/4096, user_a);
+  b.Unlink(57.0, /*file=*/10, user_a);
+  b.WholeRead(65.0, 66.0, /*oid=*/5, /*file=*/11, /*size=*/4096, user_b);
+  Trace trace = b.Build();
+  trace.header().description = AppendFleetTag(trace.header().description, tags);
+  const ReplayLog log = ReplayLog::Build(trace);
+  ASSERT_EQ(log.instance_count(), 2u);
+
+  CacheConfig client;
+  client.size_bytes = 1 << 20;
+  client.policy = WritePolicy::kFlushBack;
+  client.flush_interval = Duration::Seconds(30);
+  std::vector<CacheConfig> servers(2);
+  for (size_t k = 0; k < servers.size(); ++k) {
+    servers[k].size_bytes = (k + 1) << 20;
+    servers[k].policy = WritePolicy::kFlushBack;
+    servers[k].flush_interval = Duration::Seconds(20);
+  }
+  HierarchySimulator nested(client, servers, log.instance_count());
+  nested.Replay(log);
+  for (size_t k = 0; k < servers.size(); ++k) {
+    const HierarchyMetrics reference = SimulateHierarchy(log, {client, servers[k]});
+    EXPECT_EQ(reference.clients[0].disk_writes, 1u);
+    EXPECT_EQ(reference.server.write_accesses, 1u);
+    EXPECT_EQ(reference.server.dirty_discarded, 1u);
+    EXPECT_EQ(reference.server.disk_writes, 0u);
+    EXPECT_TRUE(HierarchyMetricsBitIdentical(nested.Collect(k), reference)) << k;
+  }
+}
+
 // --- Multi-instance routing ------------------------------------------------
 
 TEST(HierarchyRouting, FleetInstancesPartitionTheAccessStream) {
@@ -230,9 +275,10 @@ TEST(HierarchySweep, GridShapeAndParity) {
   const HierarchySweepResult result = RunHierarchySweep(log, configs, /*threads=*/4);
   ASSERT_EQ(result.points.size(), configs.size());
   EXPECT_TRUE(result.parity);
-  // 5 server sizes fuse the client-0 policies; 3 client sizes x 3 client
-  // policies are one client replay each, fanned out to the 5 server sizes.
-  EXPECT_EQ(result.fused_replays, 5u);
+  // The 15 client-0 rows (5 server sizes x 3 policies) are one nested
+  // replay; 3 client sizes x 3 client policies are one client replay each,
+  // over one nested level serving the 5 server sizes.
+  EXPECT_EQ(result.fused_replays, 1u);
   EXPECT_EQ(result.hierarchy_replays, 9u);
 
   for (size_t i = 0; i < configs.size(); ++i) {
@@ -240,7 +286,7 @@ TEST(HierarchySweep, GridShapeAndParity) {
     EXPECT_EQ(p.config.client.size_bytes, configs[i].client.size_bytes) << i;
     EXPECT_GT(p.metrics.server.logical_accesses, 0u) << i;
     if (!configs[i].has_clients()) {
-      // Fused client-0 rows must equal the direct single-level replay.
+      // Nested client-0 rows must equal the direct single-level replay.
       const CacheMetrics flat = SimulateCache(log, configs[i].server);
       EXPECT_TRUE(CacheMetricsBitIdentical(p.metrics.server, flat)) << i;
     } else {
@@ -249,20 +295,28 @@ TEST(HierarchySweep, GridShapeAndParity) {
   }
 }
 
-// Every row of the default grid, fanned out or fused, is bit-identical on
-// every level to its own per-row replay — on a fleet trace, so each row has
-// several clients whose write-backs interleave at the servers.
-TEST(HierarchySweep, FannedOutRowsMatchPerRowReplay) {
+// A one-hour fleet:2xA5+E3 trace: three instances, so a client layer has
+// three clients whose write-backs interleave at the server.
+ReplayLog OneHourFleetLog() {
   auto fleet = ParseFleetSpec("fleet:2xA5+E3");
-  ASSERT_TRUE(fleet.ok()) << fleet.status().message();
+  EXPECT_TRUE(fleet.ok()) << fleet.status().message();
   FleetGeneratorOptions options;
   options.base.duration = Duration::Hours(1);
   options.base.seed = 3017;
   options.shards_per_machine = 2;
   options.threads = 2;
   auto generated = GenerateFleetTrace(fleet.value(), options);
-  ASSERT_TRUE(generated.ok()) << generated.status().message();
-  const ReplayLog log = ReplayLog::Build(generated.value().trace);
+  EXPECT_TRUE(generated.ok()) << generated.status().message();
+  return ReplayLog::Build(generated.value().trace);
+}
+
+// Every row of the default grid, client-0 or behind a client layer, is
+// bit-identical on every level to its own per-row replay on the reference
+// twin (SimulateHierarchy: a plain CacheLevel server) — on a fleet trace,
+// so each row has several clients whose write-backs interleave at the
+// server.
+TEST(HierarchySweep, FannedOutRowsMatchPerRowReplay) {
+  const ReplayLog log = OneHourFleetLog();
   ASSERT_EQ(log.instance_count(), 3u);
 
   const std::vector<HierarchyConfig> configs = HierarchySweepConfigs();
@@ -288,6 +342,42 @@ TEST(HierarchySweep, FannedOutRowsMatchPerRowReplay) {
       // The degenerate topology is the single-level simulator.
       EXPECT_TRUE(CacheMetricsBitIdentical(fanned.server, SimulateCache(log, configs[i].server)))
           << row;
+    }
+  }
+}
+
+// One nested server level behind a client layer against the reference twin,
+// under every server write policy and several sizes at once (unsorted, one
+// size twice).  The server sees whole-block write-backs stamped at client
+// flush epochs, which may lie behind its own clock, from three clients.
+TEST(HierarchySweep, NestedServerLevelMatchesReferenceUnderEveryServerPolicy) {
+  const ReplayLog log = OneHourFleetLog();
+  ASSERT_EQ(log.instance_count(), 3u);
+  std::vector<CacheConfig> servers;
+  for (const uint64_t size : {uint64_t{2} << 20, uint64_t{1} << 20, uint64_t{8} << 20}) {
+    for (const WritePolicy policy :
+         {WritePolicy::kWriteThrough, WritePolicy::kFlushBack, WritePolicy::kDelayedWrite}) {
+      CacheConfig server;
+      server.size_bytes = size;
+      server.policy = policy;
+      servers.push_back(server);
+    }
+  }
+  servers.push_back(servers.front());
+  servers.back().policy = WritePolicy::kFlushBack;
+  servers.back().flush_interval = Duration::Minutes(5);
+  for (const WritePolicy client_policy :
+       {WritePolicy::kWriteThrough, WritePolicy::kFlushBack, WritePolicy::kDelayedWrite}) {
+    CacheConfig client;
+    client.size_bytes = 256 << 10;
+    client.policy = client_policy;
+    HierarchySimulator nested(client, servers, log.instance_count());
+    nested.Replay(log);
+    for (size_t k = 0; k < servers.size(); ++k) {
+      const HierarchyConfig row{client, servers[k]};
+      const HierarchyMetrics reference = SimulateHierarchy(log, row);
+      EXPECT_GT(reference.server.logical_accesses, 0u) << row.ToString();
+      EXPECT_TRUE(HierarchyMetricsBitIdentical(nested.Collect(k), reference)) << row.ToString();
     }
   }
 }

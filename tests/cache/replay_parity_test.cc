@@ -13,8 +13,10 @@
 #include "src/cache/sweep.h"
 #include "src/trace/replay_log.h"
 #include "src/trace/trace_io.h"
+#include "src/workload/fleet.h"
 #include "src/workload/generator.h"
 #include "src/workload/profile.h"
+#include "src/workload/sharded_generator.h"
 #include "tests/testing/temp_path.h"
 #include "tests/testing/trace_builder.h"
 
@@ -160,9 +162,10 @@ void ReplayWithZeroLengthTransfers(const ReplayLog& log, bool pagein, Engine& en
 }
 
 // Every feed-driven engine against the direct reference simulator on a
-// hand-built trace, both billing bounds: the single level, fused lanes, the
-// degenerate hierarchy (one server, and one client-less replay fanned out to
-// three servers) and the Mattson fetch-miss column.
+// hand-built trace, both billing bounds: the single level, fused lanes, one
+// nested replay of several sizes x the lanes, the degenerate hierarchy (one
+// server, and one client-less replay over a nested level of three servers)
+// and the Mattson fetch-miss column.
 void ExpectEveryEngineMatches(const Trace& trace) {
   const std::vector<FusedCacheSimulator::PolicyLane> lanes = {
       {WritePolicy::kWriteThrough, Duration::Seconds(30)},
@@ -193,6 +196,26 @@ void ExpectEveryEngineMatches(const Trace& trace) {
                         label + " / fused lane " + std::to_string(i));
       }
 
+      // Nested sizes, unsorted, two of them rounding to one block count.
+      std::vector<CacheConfig> nested_members;
+      for (const uint64_t size :
+           {2 * c.size_bytes, std::max<uint64_t>(c.block_size, c.size_bytes / 3),
+            c.size_bytes + c.block_size / 2, c.size_bytes}) {
+        for (const FusedCacheSimulator::PolicyLane& lane : lanes) {
+          CacheConfig m = c;
+          m.size_bytes = size;
+          m.policy = lane.policy;
+          m.flush_interval = lane.flush_interval;
+          nested_members.push_back(m);
+        }
+      }
+      FusedCacheSimulator nested(nested_members);
+      ReplayWithZeroLengthTransfers(log, pagein, nested);
+      for (size_t i = 0; i < nested_members.size(); ++i) {
+        ExpectIdentical(SimulateCache(trace, nested_members[i], billing), nested.Metrics(i),
+                        label + " / nested " + nested_members[i].ToString());
+      }
+
       HierarchyConfig h;
       h.client.size_bytes = 0;
       h.server = c;
@@ -202,8 +225,8 @@ void ExpectEveryEngineMatches(const Trace& trace) {
       EXPECT_EQ(levels.client_count, 0u) << label;
       ExpectIdentical(direct, levels.server, label + " / hierarchy");
 
-      // No client layer, several servers: each is driven exactly as it
-      // would be alone.
+      // No client layer, several servers on one nested level: each is
+      // driven exactly as it would be alone.
       std::vector<CacheConfig> servers = {c, c, c};
       servers[1].size_bytes = 4 * c.size_bytes;
       servers[1].policy = WritePolicy::kWriteThrough;
@@ -316,6 +339,44 @@ TEST(ReplayParity, StreamingBuildMatchesInMemory) {
 
   auto missing = ReplayLog::BuildFromFile("/nonexistent/bsdtrace-replay.trc");
   EXPECT_FALSE(missing.ok());
+}
+
+// A fleet generation pushed straight into ReplayLog::Builder (no Trace in
+// between) records the same log as building from the materialized trace:
+// the same events with the same instances, and the same derived feeds.
+TEST(ReplayParity, FleetStreamedIntoBuilderMatchesMaterializedTrace) {
+  auto fleet = ParseFleetSpec("fleet:A5+E3");
+  ASSERT_TRUE(fleet.ok()) << fleet.status().message();
+  FleetGeneratorOptions options;
+  options.base.duration = Duration::Minutes(20);
+  options.base.seed = 4417;
+  options.shards_per_machine = 2;
+  options.threads = 2;
+  auto generated = GenerateFleetTrace(fleet.value(), options);
+  ASSERT_TRUE(generated.ok()) << generated.status().message();
+  const Trace& trace = generated.value().trace;
+  const ReplayLog materialized = ReplayLog::Build(trace);
+
+  ReplayLog::Builder builder(FleetTraceHeader(fleet.value(), options));
+  ASSERT_TRUE(GenerateFleetTo(fleet.value(), options, builder).ok());
+  EXPECT_EQ(builder.records(), trace.size());
+  const ReplayLog streamed = builder.Finish();
+
+  EXPECT_EQ(streamed.instance_count(), 2u);
+  EXPECT_EQ(streamed.fleet().size(), materialized.fleet().size());
+  ASSERT_EQ(streamed.event_count(), materialized.event_count());
+  for (size_t i = 0; i < streamed.event_count(); ++i) {
+    const ReplayEvent& a = streamed.events()[i];
+    const ReplayEvent& b = materialized.events()[i];
+    ASSERT_TRUE(a.time == b.time && a.file == b.file && a.offset == b.offset &&
+                a.length == b.length && a.kind == b.kind && a.instance == b.instance)
+        << "event " << i;
+  }
+  EXPECT_EQ(streamed.data_event_count(), materialized.data_event_count());
+  EXPECT_EQ(streamed.transfer_extents(), materialized.transfer_extents());
+  EXPECT_EQ(streamed.transfer_extents_pagein(), materialized.transfer_extents_pagein());
+  EXPECT_EQ(streamed.execve_extents(), materialized.execve_extents());
+  EXPECT_EQ(streamed.distinct_files(), materialized.distinct_files());
 }
 
 TEST(ReplayLogStats, CountsAndBilling) {

@@ -86,7 +86,7 @@ TEST(RunCacheSweep, EmptyConfigList) {
   EXPECT_TRUE(RunCacheSweep(ReplayLog::Build(SmallTrace()), {}).empty());
 }
 
-// --- Planned sweep (Mattson + fused replay) --------------------------------
+// --- Planned sweep (Mattson + nested replay) -------------------------------
 
 // Bit-level CacheMetrics equality, floating-point residency stats included:
 // the planned engines must perform the identical Add() sequence.
@@ -232,25 +232,55 @@ TEST(PlannedSweep, MetadataConfigsFallBackToPerConfigReplay) {
   const ReplayLog log = ReplayLog::Build(trace);
   const PlannedSweep planned = RunPlannedSweep(log, configs);
   EXPECT_EQ(planned.replay_fallbacks, 1u);
-  EXPECT_EQ(planned.fused_replays, 6u);   // one per Fig. 5 cache size
+  EXPECT_EQ(planned.fused_replays, 1u);   // one nested replay for all 24 points
   EXPECT_EQ(planned.stack_passes, 1u);    // one (4 KB, no page-in) family
   EXPECT_TRUE(planned.parity);
   ExpectIdentical(planned.points.back().metrics, SimulateCache(log, meta), "metadata fallback");
 }
 
+TEST(PlannedSweep, NonLruConfigsReplayOncePerSize) {
+  // Without inclusion a non-LRU nested replay serves one size: its write
+  // policies share the replay, other sizes get their own, and no Mattson
+  // pass runs for them.
+  const Trace trace = MixedTrace(59, 300);
+  std::vector<CacheConfig> configs = Fig5Configs();
+  for (const ReplacementPolicy rp : {ReplacementPolicy::kClock, ReplacementPolicy::kFifo}) {
+    for (const uint64_t size : {uint64_t{1} << 20, uint64_t{2} << 20}) {
+      for (const WritePolicy policy : {WritePolicy::kWriteThrough, WritePolicy::kDelayedWrite}) {
+        CacheConfig c;
+        c.size_bytes = size;
+        c.policy = policy;
+        c.replacement = rp;
+        configs.push_back(c);
+      }
+    }
+  }
+  const ReplayLog log = ReplayLog::Build(trace);
+  const PlannedSweep planned = RunPlannedSweep(log, configs, {}, /*threads=*/2);
+  EXPECT_EQ(planned.stack_passes, 1u);
+  EXPECT_EQ(planned.fused_replays, 5u);  // the LRU family + 2 policies x 2 sizes
+  EXPECT_EQ(planned.replay_fallbacks, 0u);
+  EXPECT_TRUE(planned.parity);
+  const std::vector<SweepPoint> replayed = RunCacheSweep(log, configs, /*threads=*/2);
+  for (size_t i = 0; i < configs.size(); ++i) {
+    ExpectIdentical(planned.points[i].metrics, replayed[i].metrics, configs[i].ToString());
+  }
+}
+
 TEST(PlannedSweep, Fig6AndFig7WorkCounts) {
   // Deterministic plan shapes: Fig. 6's 24 configs are 6 block-size
-  // families of one delayed-write size each, Fig. 7's 12 two page-in
-  // families.  A planning regression shows here on any machine.
+  // families of four delayed-write sizes each, Fig. 7's 12 two page-in
+  // families of six sizes; each family is one stack pass and one nested
+  // replay.  A planning regression shows here on any machine.
   const ReplayLog log = ReplayLog::Build(MixedTrace(83, 300));
   const PlannedSweep fig6 = RunPlannedSweep(log, Fig6Configs());
   EXPECT_EQ(fig6.stack_passes, 6u);
-  EXPECT_EQ(fig6.fused_replays, 24u);
+  EXPECT_EQ(fig6.fused_replays, 6u);
   EXPECT_EQ(fig6.replay_fallbacks, 0u);
   EXPECT_TRUE(fig6.parity);
   const PlannedSweep fig7 = RunPlannedSweep(log, Fig7Configs());
   EXPECT_EQ(fig7.stack_passes, 2u);
-  EXPECT_EQ(fig7.fused_replays, 12u);
+  EXPECT_EQ(fig7.fused_replays, 2u);
   EXPECT_EQ(fig7.replay_fallbacks, 0u);
   EXPECT_TRUE(fig7.parity);
 }

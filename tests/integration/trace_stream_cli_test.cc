@@ -230,8 +230,8 @@ TEST(TraceStreamCli, SweepHierPrintsHierarchyFigure) {
   const std::string text = ::testing::internal::GetCapturedStdout();
   EXPECT_NE(text.find("Hierarchy sweep"), std::string::npos) << text;
   EXPECT_NE(text.find("Delayed Write"), std::string::npos) << text;
-  EXPECT_NE(text.find("hierarchy replay(s) (one per client configuration); fused and fan-out "
-                      "parity OK"),
+  EXPECT_NE(text.find("hierarchy replay(s) (one per client configuration and server family); "
+                      "reference parity OK"),
             std::string::npos)
       << text;
 }
